@@ -69,8 +69,9 @@ pub struct Route {
 /// The egress routing table of one cloud.
 ///
 /// Best-route selection follows BGP intuition: shortest AS path first, then
-/// hot-potato (egress closest to the source region), then lowest
-/// interconnect id as a deterministic tie-break.
+/// egress preference, then hot-potato (egress closest to the source
+/// region), then a per-destination flow hash as the deterministic
+/// tie-break (see [`RoutingTable::route_at`]).
 pub struct RoutingTable {
     /// The cloud this table routes for.
     pub cloud: CloudId,
@@ -78,8 +79,14 @@ pub struct RoutingTable {
     /// Per transit peer: parent array of the customer-edge BFS tree used to
     /// reconstruct descent paths (`parent[d] == u32::MAX` means unreachable).
     descent: HashMap<AsIndex, Vec<u32>>,
-    /// Region-to-region great-circle km, symmetric.
-    region_km: HashMap<(RegionId, RegionId), f64>,
+    /// Region-to-region great-circle km, flat and indexed by
+    /// `src.index() * region_count + egress.index()` over every region of
+    /// the Internet. Pairs involving another cloud's region hold
+    /// `f64::MAX`, so they lose every hot-potato comparison.
+    region_km: Vec<f64>,
+    /// Number of regions across all clouds (the row length of
+    /// `region_km`).
+    region_count: usize,
     /// Longest prefix length stored in the trie (0 when empty). When this
     /// is ≤ 24, every address of a destination /24 resolves to the same
     /// trie leaf, and a /24-keyed route cache is exact.
@@ -184,18 +191,25 @@ impl RoutingTable {
         // cm-lint: nondet-quarantined(candidates are sorted and inserted into a keyed trie, erasing accumulation order)
         for (prefix, mut cands) in acc {
             // Deterministic candidate order regardless of HashMap iteration.
+            // `route_at` relies on it: each (path_len, pref) tier is one
+            // contiguous run, and tiers come in selection order.
             cands.sort_by_key(|c| (c.path_len, c.pref, c.ic.0));
+            debug_assert!(
+                cands.is_sorted_by_key(|c| (c.path_len, c.pref, c.ic.0)),
+                "candidates must be sorted by (path_len, pref, ic)"
+            );
             max_prefix_len = max_prefix_len.max(prefix.len());
             trie.insert(prefix, cands);
         }
 
         // Region distance matrix for hot-potato tie-breaking.
-        let mut region_km = HashMap::new();
+        let region_count = inet.regions.len();
+        let mut region_km = vec![f64::MAX; region_count * region_count];
         let regions = &inet.clouds[cloud.index()].regions;
         for &a in regions {
             for &b in regions {
                 let km = inet.metro_km(inet.region(a).metro, inet.region(b).metro);
-                region_km.insert((a, b), km);
+                region_km[a.index() * region_count + b.index()] = km;
             }
         }
 
@@ -204,6 +218,7 @@ impl RoutingTable {
             trie,
             descent,
             region_km,
+            region_count,
             max_prefix_len,
         }
     }
@@ -239,7 +254,18 @@ impl RoutingTable {
     /// sweeps traverse *different* interconnects of the same peer — the
     /// path diversity a 16-day campaign accumulates (§3 of the paper).
     /// Epoch 0 never suffers outages; if churn removes every candidate for
-    /// a prefix, the epoch-0 choice is used (the fabric never partitions).
+    /// a prefix, selection runs over all candidates as if none were down
+    /// (the fabric never partitions).
+    ///
+    /// Selection is lexicographic, like BGP's decision process: shortest
+    /// AS path, then egress preference, then hot-potato distance, then —
+    /// as the final tie for parallel links at one facility —
+    /// per-destination flow hashing, so every member of a LAG bundle
+    /// carries some prefixes and becomes observable. `build` sorts each
+    /// prefix's candidates by `(path_len, pref, ic)`, so only the first
+    /// `(path_len, pref)` tier holding an up candidate can win: a lookup
+    /// walks to the first up candidate, then computes distances and flow
+    /// hashes for that tier alone instead of for every candidate.
     pub fn route_at(
         &self,
         inet: &Internet,
@@ -248,46 +274,34 @@ impl RoutingTable {
         epoch: u32,
     ) -> Option<Route> {
         let candidates = self.trie.lookup(dest)?;
-        // Pre-compute each candidate's full sort key once. The comparator
-        // used to recompute the hot-potato distance and the flow-hash draw
-        // for *both* sides of every comparison; batching the draws makes a
-        // lookup cost n hashes instead of ~2·n·log n. The key components
-        // replicate the old comparator exactly: shortest AS path, then
-        // egress preference, then hot-potato distance, then — as the final
-        // tie for parallel links at one facility — per-destination flow
-        // hashing, so every member of a LAG bundle carries some prefixes
-        // and becomes observable.
-        let keys: Vec<(f64, u64)> = candidates
-            .iter()
-            .map(|c| {
-                (
-                    self.hot_potato_km(inet, c.ic, src_region),
-                    stablehash::mix(
-                        0xECB0,
-                        &[u64::from(dest.to_u32()) >> 8, c.ic.0 as u64, epoch as u64],
-                    ),
-                )
-            })
-            .collect();
         let up = |c: &Candidate| -> bool {
             epoch == 0
                 || !stablehash::chance(inet.seed, &[0xF1A9, epoch as u64, c.ic.0 as u64], 0.18)
         };
-        let pick = |filter_up: bool| -> Option<&Candidate> {
-            candidates
-                .iter()
-                .zip(&keys)
-                .filter(|(c, _)| !filter_up || up(c))
-                .min_by(|(x, (dx, hx)), (y, (dy, hy))| {
-                    x.path_len
-                        .cmp(&y.path_len)
-                        .then(x.pref.cmp(&y.pref))
-                        .then(dx.total_cmp(dy))
-                        .then(hx.cmp(hy))
-                })
-                .map(|(c, _)| c)
+        // The winning tier starts at the first up candidate; when every
+        // candidate is down it is the first tier, with nothing filtered.
+        let (start, filter_up) = match candidates.iter().position(up) {
+            Some(i) => (i, true),
+            None => (0, false),
         };
-        let best = pick(true).or_else(|| pick(false))?;
+        let head = candidates.get(start)?;
+        let tier = (head.path_len, head.pref);
+        let mut best = head;
+        let (mut best_km, mut best_flow) = self.tie_key(inet, head, dest, src_region, epoch);
+        for c in candidates[start + 1..]
+            .iter()
+            .take_while(|c| (c.path_len, c.pref) == tier)
+        {
+            if filter_up && !up(c) {
+                continue;
+            }
+            let (km, flow) = self.tie_key(inet, c, dest, src_region, epoch);
+            // Strictly better only: on a full tie the earlier candidate
+            // stays, as `Iterator::min_by` keeps the first minimum.
+            if km.total_cmp(&best_km).then(flow.cmp(&best_flow)).is_lt() {
+                (best, best_km, best_flow) = (c, km, flow);
+            }
+        }
         let peer = inet.interconnect(best.ic).peer;
         let as_path = self.reconstruct_path(peer, best.origin);
         Some(Route {
@@ -296,9 +310,28 @@ impl RoutingTable {
         })
     }
 
-    fn hot_potato_km(&self, inet: &Internet, ic: IcId, src: RegionId) -> f64 {
-        let egress = inet.interconnect(ic).region;
-        *self.region_km.get(&(src, egress)).unwrap_or(&f64::MAX)
+    /// The within-tier sort key of `c`: hot-potato km from `src` to the
+    /// egress, then the per-(destination /24, interconnect, epoch) flow
+    /// hash.
+    fn tie_key(
+        &self,
+        inet: &Internet,
+        c: &Candidate,
+        dest: Ipv4,
+        src: RegionId,
+        epoch: u32,
+    ) -> (f64, u64) {
+        let egress = inet.interconnect(c.ic).region;
+        let km = self
+            .region_km
+            .get(src.index() * self.region_count + egress.index())
+            .copied()
+            .unwrap_or(f64::MAX);
+        let flow = stablehash::mix(
+            0xECB0,
+            &[u64::from(dest.to_u32()) >> 8, c.ic.0 as u64, epoch as u64],
+        );
+        (km, flow)
     }
 
     /// Walks the descent tree from `origin` back to `peer`.
@@ -372,9 +405,192 @@ fn descent_depth(parents: &[u32], root: AsIndex, node: AsIndex) -> Option<u8> {
 mod tests {
     use super::*;
     use cm_topology::{Internet, TopologyConfig};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn tiny() -> Internet {
         Internet::generate(TopologyConfig::tiny(), 11)
+    }
+
+    /// The full-scan selection the tier scan replaced, kept as the
+    /// reference: key every candidate, then take the lexicographic
+    /// minimum of `(path_len, pref, km, flow hash)` over the up
+    /// candidates, or over all of them when none is up. Distances come
+    /// straight from the metro coordinates, not from `region_km`.
+    fn full_scan_route(
+        table: &RoutingTable,
+        inet: &Internet,
+        dest: Ipv4,
+        src_region: RegionId,
+        epoch: u32,
+    ) -> Option<Route> {
+        let candidates = table.trie.lookup(dest)?;
+        let regions = &inet.clouds[table.cloud.index()].regions;
+        let keys: Vec<(f64, u64)> = candidates
+            .iter()
+            .map(|c| {
+                let egress = inet.interconnect(c.ic).region;
+                let km = if regions.contains(&src_region) && regions.contains(&egress) {
+                    inet.metro_km(inet.region(src_region).metro, inet.region(egress).metro)
+                } else {
+                    f64::MAX
+                };
+                let flow = stablehash::mix(
+                    0xECB0,
+                    &[u64::from(dest.to_u32()) >> 8, c.ic.0 as u64, epoch as u64],
+                );
+                (km, flow)
+            })
+            .collect();
+        let up = |c: &Candidate| -> bool {
+            epoch == 0
+                || !stablehash::chance(inet.seed, &[0xF1A9, epoch as u64, c.ic.0 as u64], 0.18)
+        };
+        let pick = |filter_up: bool| -> Option<&Candidate> {
+            candidates
+                .iter()
+                .zip(&keys)
+                .filter(|(c, _)| !filter_up || up(c))
+                .min_by(|(x, (dx, hx)), (y, (dy, hy))| {
+                    x.path_len
+                        .cmp(&y.path_len)
+                        .then(x.pref.cmp(&y.pref))
+                        .then(dx.total_cmp(dy))
+                        .then(hx.cmp(hy))
+                })
+                .map(|(c, _)| c)
+        };
+        let best = pick(true).or_else(|| pick(false))?;
+        let peer = inet.interconnect(best.ic).peer;
+        Some(Route {
+            ic: best.ic,
+            as_path: table.reconstruct_path(peer, best.origin),
+        })
+    }
+
+    /// The epochs the pins cover: the churn-free baseline, two churn
+    /// epochs, and epoch 1 of the route-flap universe (the dataplane
+    /// diverts a flapped lookup to `epoch ^ 0x4000_0000`).
+    const PIN_EPOCHS: [u32; 4] = [0, 1, 2, 1 ^ 0x4000_0000];
+
+    #[test]
+    fn tier_scan_matches_full_scan_on_every_sweep_slash24() {
+        let inet = tiny();
+        let table = RoutingTable::build(&inet, CloudId(0));
+        // The sweep list, derived as the dataplane derives it: every /24
+        // of every allocated block.
+        let mut sweep = Vec::new();
+        for (block, _) in &inet.addr_plan.blocks {
+            let base = block.base().to_u32();
+            for k in 0..(block.num_addresses() / 256).max(1) {
+                sweep.push(Ipv4(base + (k as u32) * 256).slash24_probe_target());
+            }
+        }
+        let (mut routed, mut first_down) = (0usize, 0usize);
+        for &region in &inet.primary_cloud().regions {
+            for &dest in &sweep {
+                for epoch in PIN_EPOCHS {
+                    let want = full_scan_route(&table, &inet, dest, region, epoch);
+                    assert_eq!(
+                        table.route_at(&inet, dest, region, epoch),
+                        want,
+                        "{dest} from {region:?} at epoch {epoch:#x}"
+                    );
+                    let Some(cands) = table.trie.lookup(dest) else {
+                        continue;
+                    };
+                    routed += 1;
+                    first_down += usize::from(is_down(&inet, &cands[0], epoch));
+                }
+            }
+        }
+        // The pin must reach the walk past down candidates, not only the
+        // common case where the first candidate is up.
+        assert!(routed > 1000, "only {routed} routed lookups");
+        assert!(first_down > 0, "no lookup started with a down candidate");
+    }
+
+    /// Whether churn marks `c` down at `epoch` (the `up` rule, negated).
+    fn is_down(inet: &Internet, c: &Candidate, epoch: u32) -> bool {
+        epoch != 0 && stablehash::chance(inet.seed, &[0xF1A9, epoch as u64, c.ic.0 as u64], 0.18)
+    }
+
+    #[test]
+    fn every_candidate_down_selects_over_the_whole_first_tier() {
+        let inet = tiny();
+        let table = RoutingTable::build(&inet, CloudId(0));
+        // No sweep lookup at the pinned epochs loses every candidate, so
+        // search: for the routed prefixes with the fewest candidates, find
+        // epochs that take all of them down.
+        let mut dests: Vec<(usize, Ipv4)> = inet
+            .addr_plan
+            .blocks
+            .iter()
+            .map(|(block, _)| block.base().slash24_probe_target())
+            .filter_map(|d| Some((table.trie.lookup(d)?.len(), d)))
+            .collect();
+        dests.sort_by_key(|&(n, d)| (n, d.to_u32()));
+        let mut checked = 0;
+        for &(_, dest) in dests.iter().take(20) {
+            let cands = table.trie.lookup(dest).unwrap();
+            for epoch in 1..20_000u32 {
+                if !cands.iter().all(|c| is_down(&inet, c, epoch)) {
+                    continue;
+                }
+                for &region in &inet.primary_cloud().regions {
+                    assert_eq!(
+                        table.route_at(&inet, dest, region, epoch),
+                        full_scan_route(&table, &inet, dest, region, epoch),
+                        "{dest} from {region:?} at epoch {epoch}"
+                    );
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked >= 10, "only {checked} all-down lookups found");
+    }
+
+    fn world() -> &'static (Internet, RoutingTable) {
+        static W: OnceLock<(Internet, RoutingTable)> = OnceLock::new();
+        W.get_or_init(|| {
+            let inet = tiny();
+            let table = RoutingTable::build(&inet, CloudId(0));
+            (inet, table)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any address — inside an allocated block or anywhere in the
+        /// IPv4 space — from any primary region at any epoch selects the
+        /// full scan's route.
+        #[test]
+        fn tier_scan_matches_full_scan_on_random_addresses(
+            raw in any::<u32>(),
+            block_pick in any::<u64>(),
+            inside in any::<bool>(),
+            region_pick in 0usize..8,
+            epoch in 0u32..64,
+            flapped in any::<bool>(),
+        ) {
+            let (inet, table) = world();
+            let blocks = &inet.addr_plan.blocks;
+            let dest = if inside {
+                let (block, _) = blocks[(block_pick % blocks.len() as u64) as usize];
+                let span = block.num_addresses().max(1);
+                Ipv4(block.base().to_u32() + (u64::from(raw) % span) as u32)
+            } else {
+                Ipv4(raw)
+            };
+            let regions = &inet.primary_cloud().regions;
+            let region = regions[region_pick % regions.len()];
+            let epoch = if flapped { epoch ^ 0x4000_0000 } else { epoch };
+            prop_assert_eq!(
+                table.route_at(inet, dest, region, epoch),
+                full_scan_route(table, inet, dest, region, epoch)
+            );
+        }
     }
 
     #[test]

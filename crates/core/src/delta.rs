@@ -43,7 +43,7 @@ use cm_bgp::{MemoKey, MemoStats};
 use cm_dataplane::{DataPlane, FaultImpact, Traceroute};
 use cm_net::{Ipv4, OrgId};
 use cm_obs::{ObsSink, Registry};
-use cm_probe::CampaignStats;
+use cm_probe::{CampaignStats, ProbeTally};
 use cm_topology::{CloudId, Internet, RegionId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,8 +85,7 @@ struct RawGroup {
 #[derive(Clone)]
 struct GroupProduct {
     pool: SegmentPool,
-    stats: CampaignStats,
-    hops: cm_obs::HistogramValue,
+    tally: ProbeTally,
     fault: FaultImpact,
     memo_lookups: u64,
     memo_keys: Vec<MemoKey>,
@@ -732,8 +731,13 @@ fn refresh_dirty(
     let n = dirty.len();
     let workers = worker_planes.len().min(n).max(1);
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, RawGroup)>();
     std::thread::scope(|scope| {
+        // Bounded, like the sharded executor's channel: in the cold era 0
+        // the synthesis workers outrun the folding coordinator, and an
+        // unbounded channel held their finished groups in memory. Created
+        // inside the scope so a panicking fold drops the receiver (failing
+        // the workers' blocked sends) before the scope joins them.
+        let (tx, rx) = mpsc::sync_channel::<(usize, RawGroup)>(2 * workers);
         for plane in &worker_planes[..workers] {
             let tx = tx.clone(); // cm-lint: hot-cost-accepted(one sender clone per worker thread at spawn)
             let next = &next;
@@ -800,11 +804,9 @@ fn refresh_dirty(
                 note_cache,
                 std::mem::take(&mut scratch),
             );
-            let mut stats = CampaignStats::default();
-            let mut hops = cm_probe::empty_hop_histogram();
+            let mut tally = ProbeTally::default();
             for t in &raw.traces {
-                stats.absorb(t);
-                cm_probe::observe_hops(&mut hops, t);
+                tally.absorb(t);
                 collector.observe(t);
             }
             obs.span_end(
@@ -824,8 +826,7 @@ fn refresh_dirty(
                 spec.key,
                 GroupProduct {
                     pool: group_pool,
-                    stats,
-                    hops,
+                    tally,
                     fault: raw.fault,
                     memo_lookups: raw.memo_lookups,
                     memo_keys: raw.memo_keys,
@@ -851,8 +852,8 @@ fn refresh_dirty(
 /// Merges every group product of one round — cached or freshly
 /// synthesized — in canonical `(region, epoch, slot)` order, reproducing
 /// byte for byte the pool a from-scratch per-region fold would build, and
-/// replays the round's registry contributions (outcome counters and the
-/// hop histogram) as order-independent bulk operations. Returns the
+/// sums the groups' probe tallies into one flush — the same per-round
+/// registry contribution the sharded executor makes. Returns the
 /// round's pool, campaign stats and fault-impact delta, and accumulates
 /// the ghost route-memo lookup total for `finish_atlas` (the distinct-key
 /// side lives in the engine's persistent `memo_refs`).
@@ -867,27 +868,19 @@ fn splice_round(
     ghost_lookups: &mut u64,
 ) -> (SegmentPool, CampaignStats, FaultImpact) {
     let mut pool = BorderCollector::with_cache(annotator, cloud_org, note_cache).finish();
-    let mut stats = CampaignStats::default();
+    let mut tally = ProbeTally::default();
     let mut fault = FaultImpact::default();
     for spec in specs {
         let p = cache
             .get(&spec.key)
             .expect("refresh_dirty synthesized every missing group");
         pool.merge_ref(&p.pool);
-        stats.merge(&p.stats);
+        tally.merge(&p.tally);
         fault.absorb(p.fault);
         *ghost_lookups += p.memo_lookups;
-        obs.registry.merge_histogram("probe_hops", &p.hops);
     }
-    obs.registry
-        .inc("probe_launched_total", stats.launched as u64);
-    obs.registry
-        .inc("probe_completed_total", stats.completed as u64);
-    obs.registry
-        .inc("probe_gap_limit_total", stats.gap_limited as u64);
-    obs.registry
-        .inc("probe_max_ttl_total", stats.max_ttl as u64);
-    (pool, stats, fault)
+    tally.flush(&obs.registry);
+    (pool, tally.stats, fault)
 }
 
 #[cfg(test)]

@@ -39,9 +39,57 @@ pub struct HistogramValue {
 }
 
 impl HistogramValue {
+    /// An empty histogram with the given ascending finite upper bounds.
+    pub fn new(bounds: &[f64]) -> Self {
+        HistogramValue {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len()],
+            overflow: 0,
+            rejected: 0,
+        }
+    }
+
     /// Accepted observations (all buckets plus the overflow bucket).
     pub fn count(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.overflow
+    }
+
+    /// Buckets one observation — the one bucketing rule behind
+    /// [`Registry::observe`] and every off-registry accumulator that is
+    /// later merged back with [`Registry::merge_histogram`].
+    ///
+    /// NaN, infinite and negative values are counted as rejected, never
+    /// bucketed — comparisons use `total_cmp`, so `-0.0` lands in the
+    /// first bucket rather than the reject pile. Returns `true` when the
+    /// value was bucketed.
+    pub fn observe(&mut self, value: f64) -> bool {
+        if !value.is_finite() || value.total_cmp(&-0.0).is_lt() {
+            self.rejected += 1;
+            return false;
+        }
+        match self.bounds.iter().position(|b| value.total_cmp(b).is_le()) {
+            Some(i) => self.counts[i] += 1,
+            None => self.overflow += 1,
+        }
+        true
+    }
+
+    /// Adds `other`'s counts bound for bound. Histograms with different
+    /// bounds are left unchanged (and debug-assert): their buckets do not
+    /// line up, so no merge is exact.
+    pub fn merge(&mut self, other: &HistogramValue) {
+        debug_assert_eq!(
+            self.bounds, other.bounds,
+            "histogram merged with mismatched bounds"
+        );
+        if self.bounds != other.bounds {
+            return;
+        }
+        for (c, add) in self.counts.iter_mut().zip(&other.counts) {
+            *c += add;
+        }
+        self.overflow += other.overflow;
+        self.rejected += other.rejected;
     }
 }
 
@@ -78,28 +126,25 @@ impl Registry {
     /// Adds `by` to the counter `name`, creating it at zero first.
     ///
     /// Recording into a name already registered with a different kind is a
-    /// programming error; the call is ignored in release builds.
+    /// programming error; the call is ignored in release builds. The name
+    /// is copied only when the counter is created, never on a hit.
     pub fn inc(&self, name: &str, by: u64) {
-        self.with(|m| {
-            match m
-                .entry(name.to_string())
-                .or_insert_with(|| Metric::Counter(0))
-            {
-                Metric::Counter(c) => *c += by,
-                _ => debug_assert!(false, "metric {name} is not a counter"),
+        self.with(|m| match m.get_mut(name) {
+            Some(Metric::Counter(c)) => *c += by,
+            Some(_) => debug_assert!(false, "metric {name} is not a counter"),
+            None => {
+                m.insert(name.to_string(), Metric::Counter(by));
             }
         });
     }
 
     /// Sets the gauge `name` to `value`, creating it if absent.
     pub fn set_gauge(&self, name: &str, value: i64) {
-        self.with(|m| {
-            match m
-                .entry(name.to_string())
-                .or_insert_with(|| Metric::Gauge(0))
-            {
-                Metric::Gauge(g) => *g = value,
-                _ => debug_assert!(false, "metric {name} is not a gauge"),
+        self.with(|m| match m.get_mut(name) {
+            Some(Metric::Gauge(g)) => *g = value,
+            Some(_) => debug_assert!(false, "metric {name} is not a gauge"),
+            None => {
+                m.insert(name.to_string(), Metric::Gauge(value));
             }
         });
     }
@@ -113,36 +158,22 @@ impl Registry {
             "histogram {name} bounds must be finite and strictly ascending"
         );
         self.with(|m| {
-            m.entry(name.to_string()).or_insert_with(|| {
-                Metric::Histogram(HistogramValue {
-                    bounds: bounds.to_vec(),
-                    counts: vec![0; bounds.len()],
-                    overflow: 0,
-                    rejected: 0,
-                })
-            });
+            if !m.contains_key(name) {
+                m.insert(
+                    name.to_string(),
+                    Metric::Histogram(HistogramValue::new(bounds)),
+                );
+            }
         });
     }
 
-    /// Records one observation into the histogram `name`.
-    ///
-    /// NaN, infinite and negative values are counted as rejected, never
-    /// bucketed — comparisons use `total_cmp`, so `-0.0` lands in the
-    /// first bucket rather than the reject pile. Returns `true` when the
-    /// value was bucketed.
+    /// Records one observation into the histogram `name`, by
+    /// [`HistogramValue::observe`]'s rule (NaN, infinite and negative
+    /// values are counted as rejected). Returns `true` when the value was
+    /// bucketed.
     pub fn observe(&self, name: &str, value: f64) -> bool {
         self.with(|m| match m.get_mut(name) {
-            Some(Metric::Histogram(h)) => {
-                if !value.is_finite() || value.total_cmp(&-0.0).is_lt() {
-                    h.rejected += 1;
-                    return false;
-                }
-                match h.bounds.iter().position(|b| value.total_cmp(b).is_le()) {
-                    Some(i) => h.counts[i] += 1,
-                    None => h.overflow += 1,
-                }
-                true
-            }
+            Some(Metric::Histogram(h)) => h.observe(value),
             _ => {
                 debug_assert!(false, "histogram {name} is not registered");
                 false
@@ -153,26 +184,15 @@ impl Registry {
     /// Merges pre-bucketed counts into the histogram `name` (which must
     /// already be registered with identical bounds).
     ///
-    /// This is the bulk-replay half of the histogram API: the delta
-    /// engine caches per-probe-group bucket counts and folds them back
-    /// instead of re-observing every raw value. Bucket-count addition is
-    /// commutative and bounds are fixed, so a replayed registry is
-    /// byte-identical to one that observed each value live.
+    /// This is the bulk-replay half of the histogram API: probing rounds
+    /// bucket their observations off-registry with
+    /// [`HistogramValue::observe`] and fold them back once per round, and
+    /// the delta engine replays cached per-probe-group counts. Bucket-count
+    /// addition is commutative and bounds are fixed, so a replayed registry
+    /// is byte-identical to one that observed each value live.
     pub fn merge_histogram(&self, name: &str, value: &HistogramValue) {
         self.with(|m| match m.get_mut(name) {
-            Some(Metric::Histogram(h)) => {
-                debug_assert_eq!(
-                    h.bounds, value.bounds,
-                    "histogram {name} merged with mismatched bounds"
-                );
-                if h.bounds == value.bounds {
-                    for (c, add) in h.counts.iter_mut().zip(&value.counts) {
-                        *c += add;
-                    }
-                    h.overflow += value.overflow;
-                    h.rejected += value.rejected;
-                }
-            }
+            Some(Metric::Histogram(h)) => h.merge(value),
             _ => debug_assert!(false, "histogram {name} is not registered"),
         });
     }
@@ -378,6 +398,45 @@ mod tests {
         one.histogram("hops", &[4.0, 8.0]);
         one.merge_histogram("hops", &cached);
         assert_eq!(one.snapshot().expose(), live.snapshot().expose());
+    }
+
+    #[test]
+    fn off_registry_histogram_matches_live_observation() {
+        let values = [0.0, -0.0, 1.0, 4.0, 4.5, 9.0, f64::NAN, -2.0, f64::INFINITY];
+        let live = Registry::new();
+        live.histogram("hops", &[4.0, 8.0]);
+        let mut local = HistogramValue::new(&[4.0, 8.0]);
+        for v in values {
+            assert_eq!(
+                live.observe("hops", v),
+                local.observe(v),
+                "rule differs at {v}"
+            );
+        }
+        assert_eq!(live.snapshot().histogram("hops"), Some(&local));
+        let flushed = Registry::new();
+        flushed.histogram("hops", &[4.0, 8.0]);
+        flushed.merge_histogram("hops", &local);
+        assert_eq!(flushed.snapshot().expose(), live.snapshot().expose());
+    }
+
+    #[test]
+    fn repeated_recording_updates_in_place() {
+        let r = Registry::new();
+        r.inc("probes_total", 0);
+        r.inc("probes_total", 7);
+        r.set_gauge("entries", 3);
+        r.set_gauge("entries", -1);
+        r.histogram("hops", &[4.0]);
+        r.observe("hops", 2.0);
+        r.histogram("hops", &[1.0, 2.0]);
+        let s = r.snapshot();
+        assert_eq!(s.metrics.len(), 3);
+        assert_eq!(s.counter("probes_total"), Some(7));
+        assert_eq!(s.gauge("entries"), Some(-1));
+        let h = s.histogram("hops").unwrap();
+        assert_eq!(h.bounds, vec![4.0], "re-registering keeps the first bounds");
+        assert_eq!(h.counts, vec![1]);
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //! `available_parallelism()` workers. Workers only *execute* probes; the
 //! caller's fold runs on the coordinating thread, which consumes finished
 //! chunks strictly in work-item order (buffering any chunk that finishes
-//! early). Because work items enumerate the exact serial iteration order
+//! early). The channel between them is bounded, so workers block rather
+//! than run unboundedly ahead when the fold is the slower side. Because
+//! work items enumerate the exact serial iteration order
 //! and the fold is applied in that order, the resulting per-region states
 //! and stats are byte-identical to a serial run for *any* worker count —
 //! the determinism the audit digest depends on.
 
-use crate::{Campaign, CampaignStats};
+use crate::{Campaign, CampaignStats, ProbeTally};
 use cm_dataplane::Traceroute;
 use cm_net::Ipv4;
 use cm_topology::RegionId;
@@ -91,14 +93,11 @@ where
     let n_work = regions.len() * per_region;
 
     let mut states = Vec::with_capacity(regions.len());
-    let mut stats = CampaignStats::default();
-    // Observation rides the coordinator's in-order fold, alongside
-    // `stats.absorb`, so the registry sees exactly the serial stream.
-    let observe = |tr: &Traceroute| {
-        if let Some(sink) = obs {
-            crate::observe_traceroute(&sink.registry, tr);
-        }
-    };
+    // The round's registry contribution is tallied on the coordinator,
+    // alongside the fold, and flushed once when the round ends: a
+    // per-traceroute registry call would take the registry lock ~3M times
+    // per small study.
+    let mut tally = ProbeTally::default();
 
     // One flight-recorder span per region, nested under whatever stage
     // span is open. Both execution paths emit the identical sequence —
@@ -128,8 +127,7 @@ where
             for epoch in 0..epochs {
                 for &t in targets {
                     let tr = plane.traceroute_at(cloud, region, t, epoch);
-                    stats.absorb(&tr);
-                    observe(&tr);
+                    tally.absorb(&tr);
                     fold(&mut state, &tr);
                     probes += 1;
                 }
@@ -137,78 +135,182 @@ where
             span_close(idx, probes);
             states.push(state);
         }
-        return (states, stats);
+    } else {
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            // Bounded: a worker that gets `2 × workers` chunks ahead of the
+            // fold blocks on `send` instead of piling finished traceroutes
+            // up in memory. The channel lives inside the scope so that a
+            // panicking fold drops the receiver before the scope joins the
+            // workers, turning their blocked sends into errors, not a hang.
+            let (tx, rx) = mpsc::sync_channel::<(usize, Vec<Traceroute>)>(2 * workers);
+            for _ in 0..workers.min(n_work) {
+                let tx = tx.clone(); // cm-lint: hot-cost-accepted(one sender clone per worker thread at spawn)
+                let next = &next;
+                scope.spawn(move || loop {
+                    let w = next.fetch_add(1, Ordering::Relaxed);
+                    if w >= n_work {
+                        break;
+                    }
+                    let it = item(w, regions, targets, epochs, chunks_per_pass);
+                    let mut batch = Vec::with_capacity(it.targets.len()); // cm-lint: hot-cost-accepted(the batch is sent over the channel to the coordinator, so the buffer cannot be reused)
+                    for &t in it.targets {
+                        batch.push(plane.traceroute_at(cloud, it.region, t, it.epoch));
+                    }
+                    // A send error means the coordinator bailed; just stop.
+                    if tx.send((w, batch)).is_err() {
+                        break;
+                    }
+                });
+            }
+            // Workers hold the only remaining senders: recv() errors out
+            // (and the merge loop exits) once they are all done or one
+            // panicked — scope exit then re-raises any worker panic.
+            drop(tx);
+
+            // In-order merge: fold chunk `w` only after chunks `0..w`.
+            // Chunks arriving early wait in `pending`; with homogeneous
+            // chunk costs the buffer stays around the worker count.
+            let mut pending: HashMap<usize, Vec<Traceroute>> = HashMap::new();
+            let mut recv_chunk = |w: usize| -> Option<Vec<Traceroute>> {
+                loop {
+                    if let Some(batch) = pending.remove(&w) {
+                        return Some(batch);
+                    }
+                    match rx.recv() {
+                        Ok((got, batch)) if got == w => return Some(batch),
+                        Ok((got, batch)) => {
+                            pending.insert(got, batch);
+                        }
+                        Err(_) => return None,
+                    }
+                }
+            };
+            let mut w = 0usize;
+            'merge: for (idx, _) in regions.iter().enumerate() {
+                span_open(idx);
+                let mut probes = 0u64;
+                let mut state = init();
+                for _ in 0..per_region {
+                    let Some(batch) = recv_chunk(w) else {
+                        break 'merge;
+                    };
+                    for tr in &batch {
+                        tally.absorb(tr);
+                        fold(&mut state, tr);
+                        probes += 1;
+                    }
+                    w += 1;
+                }
+                span_close(idx, probes);
+                states.push(state);
+            }
+        });
+        debug_assert!(
+            states.len() == regions.len(),
+            "merge loop ended early without a worker panic"
+        );
+    }
+    if let Some(sink) = obs {
+        tally.flush(&sink.registry);
+    }
+    (states, tally.stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cm_dataplane::{DataPlane, DataPlaneConfig};
+    use cm_topology::{CloudId, Internet, TopologyConfig};
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn slow_fold_holds_the_workers_back() {
+        let inet = Internet::generate(TopologyConfig::tiny(), 19);
+        let cloud = CloudId(0);
+        // Keep targets whose traceroute makes exactly one route-memo
+        // lookup (a property of the destination alone), so the memo's
+        // lookup count is the number of traceroutes produced so far.
+        let scout = DataPlane::new(&inet, DataPlaneConfig::default());
+        let region = inet.primary_cloud().regions[0];
+        let targets: Vec<Ipv4> = Campaign::new(&scout, cloud)
+            .sweep_targets()
+            .into_iter()
+            .filter(|&t| {
+                let before = scout.route_memo_stats();
+                scout.traceroute(cloud, region, t);
+                let d = scout.route_memo_stats().since(before);
+                d.hits + d.misses == 1
+            })
+            .take(3 * TARGET_CHUNK)
+            .collect();
+        assert_eq!(targets.len(), 3 * TARGET_CHUNK);
+
+        let plane = DataPlane::new(&inet, DataPlaneConfig::default());
+        let workers = 2;
+        // Traceroutes the run may hold produced but not yet folded:
+        // `3 × workers + 1` chunks in flight (`2 × workers` in the
+        // channel, one in each worker's hands, the one being folded), and
+        // as much again for chunks received out of order and waiting in
+        // `pending`. Unbounded, a run whose fold is the slow side holds
+        // most of its traceroutes at once.
+        let bound = 2 * (3 * workers + 1) * TARGET_CHUNK;
+        let folded = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let epochs = 4;
+        let (_, stats) = Campaign::new(&plane, cloud).run_sharded(
+            &targets,
+            epochs,
+            workers,
+            || (),
+            |_, _| {
+                let produced = || {
+                    let memo = plane.route_memo_stats();
+                    (memo.hits + memo.misses) as usize
+                };
+                let n = folded.fetch_add(1, Ordering::Relaxed);
+                if n == 0 {
+                    // Hold the first fold until the workers have produced
+                    // past the bound, or for a second: unbounded, they get
+                    // there at once; bounded, they block in `send` first.
+                    let start = Instant::now();
+                    while produced() <= bound && start.elapsed() < Duration::from_secs(1) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                let unfolded = produced() - n;
+                peak.fetch_max(unfolded, Ordering::Relaxed);
+                assert!(
+                    unfolded <= bound,
+                    "{unfolded} traceroutes produced but not folded (bound {bound})"
+                );
+                // The fold stays the slow side: probing a traceroute takes
+                // a fraction of this.
+                std::thread::sleep(Duration::from_micros(50));
+            },
+        );
+        let regions = inet.primary_cloud().regions.len();
+        assert_eq!(stats.launched, regions * epochs as usize * targets.len());
+        assert_eq!(folded.load(Ordering::Relaxed), stats.launched);
+        assert!(
+            stats.launched > 3 * bound,
+            "the run must be long enough to exceed the bound"
+        );
+        assert!(
+            peak.load(Ordering::Relaxed) >= TARGET_CHUNK,
+            "workers never got ahead"
+        );
     }
 
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Vec<Traceroute>)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n_work) {
-            let tx = tx.clone(); // cm-lint: hot-cost-accepted(one sender clone per worker thread at spawn)
-            let next = &next;
-            scope.spawn(move || loop {
-                let w = next.fetch_add(1, Ordering::Relaxed);
-                if w >= n_work {
-                    break;
-                }
-                let it = item(w, regions, targets, epochs, chunks_per_pass);
-                let mut batch = Vec::with_capacity(it.targets.len()); // cm-lint: hot-cost-accepted(the batch is sent over the channel to the coordinator, so the buffer cannot be reused)
-                for &t in it.targets {
-                    batch.push(plane.traceroute_at(cloud, it.region, t, it.epoch));
-                }
-                // A send error means the coordinator bailed; just stop.
-                if tx.send((w, batch)).is_err() {
-                    break;
-                }
-            });
-        }
-        // Workers hold the only remaining senders: recv() errors out (and
-        // the merge loop exits) once they are all done or one panicked —
-        // scope exit then re-raises any worker panic.
-        drop(tx);
-
-        // In-order merge: fold chunk `w` only after chunks `0..w`. Chunks
-        // arriving early wait in `pending`; with homogeneous chunk costs
-        // the buffer stays around the worker count.
-        let mut pending: HashMap<usize, Vec<Traceroute>> = HashMap::new();
-        let mut recv_chunk = |w: usize| -> Option<Vec<Traceroute>> {
-            loop {
-                if let Some(batch) = pending.remove(&w) {
-                    return Some(batch);
-                }
-                match rx.recv() {
-                    Ok((got, batch)) if got == w => return Some(batch),
-                    Ok((got, batch)) => {
-                        pending.insert(got, batch);
-                    }
-                    Err(_) => return None,
-                }
-            }
-        };
-        let mut w = 0usize;
-        'merge: for (idx, _) in regions.iter().enumerate() {
-            span_open(idx);
-            let mut probes = 0u64;
-            let mut state = init();
-            for _ in 0..per_region {
-                let Some(batch) = recv_chunk(w) else {
-                    break 'merge;
-                };
-                for tr in &batch {
-                    stats.absorb(tr);
-                    observe(tr);
-                    fold(&mut state, tr);
-                    probes += 1;
-                }
-                w += 1;
-            }
-            span_close(idx, probes);
-            states.push(state);
-        }
-    });
-    debug_assert!(
-        states.len() == regions.len(),
-        "merge loop ended early without a worker panic"
-    );
-    (states, stats)
+    #[test]
+    #[should_panic(expected = "fold failed")]
+    fn a_panicking_fold_propagates_instead_of_hanging() {
+        let inet = Internet::generate(TopologyConfig::tiny(), 19);
+        let plane = DataPlane::new(&inet, DataPlaneConfig::default());
+        let c = Campaign::new(&plane, CloudId(0));
+        let targets = c.sweep_targets();
+        // Workers would fill the bounded channel and block on `send`; the
+        // coordinator's panic must release them rather than wait forever.
+        c.run_sharded(&targets, 4, 2, || (), |_, _| panic!("fold failed"));
+    }
 }

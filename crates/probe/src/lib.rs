@@ -88,43 +88,52 @@ pub const HOP_BUCKETS: [f64; 6] = [4.0, 8.0, 12.0, 16.0, 24.0, 32.0];
 /// milliseconds).
 pub const RTT_BUCKETS: [f64; 8] = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0];
 
-/// Registers the probing metrics and bumps the per-traceroute outcome
-/// counters plus the hop-count histogram. Called from the executor's
-/// in-order fold, but sums and bucket counts are order-independent, so
-/// the registry is worker-count invariant either way.
-pub(crate) fn observe_traceroute(registry: &cm_obs::Registry, t: &Traceroute) {
-    registry.inc("probe_launched_total", 1);
-    let outcome = match t.status {
-        TraceStatus::Completed => "probe_completed_total",
-        TraceStatus::GapLimit => "probe_gap_limit_total",
-        TraceStatus::MaxTtl => "probe_max_ttl_total",
-    };
-    registry.inc(outcome, 1);
-    registry.observe("probe_hops", t.hops.len() as f64);
+/// One probing round's share of the probe metrics, tallied off the
+/// registry: the outcome counters (as [`CampaignStats`]) and the
+/// `probe_hops` histogram. The executor absorbs every traceroute of a
+/// round into one tally and flushes it when the round ends; the delta
+/// engine caches one per probe group and flushes their sum per round.
+/// Counter sums and bucket counts are order-independent, so one flush per
+/// round leaves the registry exactly as per-traceroute recording would.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ProbeTally {
+    /// Outcome counts of the tallied traceroutes.
+    pub stats: CampaignStats,
+    /// Hop counts of the tallied traceroutes, bucketed by [`HOP_BUCKETS`].
+    pub hops: cm_obs::HistogramValue,
 }
 
-/// An empty `probe_hops` histogram with the registered bucket bounds,
-/// for callers that bucket hop counts outside a live registry — the
-/// delta engine caches one per probe group and bulk-merges them back
-/// with `Registry::merge_histogram` instead of paying a registry
-/// allocation and snapshot per group.
-pub fn empty_hop_histogram() -> cm_obs::HistogramValue {
-    cm_obs::HistogramValue {
-        bounds: HOP_BUCKETS.to_vec(),
-        counts: vec![0; HOP_BUCKETS.len()],
-        overflow: 0,
-        rejected: 0,
+impl Default for ProbeTally {
+    fn default() -> Self {
+        ProbeTally {
+            stats: CampaignStats::default(),
+            hops: cm_obs::HistogramValue::new(&HOP_BUCKETS),
+        }
     }
 }
 
-/// Buckets one traceroute's hop count into `hist`, with the same
-/// arithmetic as `Registry::observe` applies to `probe_hops` (the value
-/// is a finite non-negative count, so the reject path cannot trigger).
-pub fn observe_hops(hist: &mut cm_obs::HistogramValue, t: &Traceroute) {
-    let value = t.hops.len() as f64;
-    match hist.bounds.iter().position(|b| value.total_cmp(b).is_le()) {
-        Some(i) => hist.counts[i] += 1,
-        None => hist.overflow += 1,
+impl ProbeTally {
+    /// Tallies one traceroute: its outcome and its hop count.
+    pub fn absorb(&mut self, t: &Traceroute) {
+        self.stats.absorb(t);
+        self.hops.observe(t.hops.len() as f64);
+    }
+
+    /// Adds another tally (a cached probe group's, say).
+    pub fn merge(&mut self, other: &ProbeTally) {
+        self.stats.merge(&other.stats);
+        self.hops.merge(&other.hops);
+    }
+
+    /// Adds the tally to `registry`'s probe metrics, which
+    /// [`register_probe_metrics`] must have registered.
+    pub fn flush(&self, registry: &cm_obs::Registry) {
+        let s = &self.stats;
+        registry.inc("probe_launched_total", s.launched as u64);
+        registry.inc("probe_completed_total", s.completed as u64);
+        registry.inc("probe_gap_limit_total", s.gap_limited as u64);
+        registry.inc("probe_max_ttl_total", s.max_ttl as u64);
+        registry.merge_histogram("probe_hops", &self.hops);
     }
 }
 
@@ -265,10 +274,11 @@ impl<'a, 'b> Campaign<'a, 'b> {
         executor::run_sharded(self, targets, epochs, workers, None, init, fold)
     }
 
-    /// [`Campaign::run_sharded`] that also streams per-traceroute outcome
-    /// counters and the hop-count histogram into an observability sink.
-    /// The sink never influences execution, and its contents stay
-    /// byte-identical at any worker count.
+    /// [`Campaign::run_sharded`] that also records the round's outcome
+    /// counters and hop-count histogram into an observability sink, as one
+    /// [`ProbeTally`] flushed when the round ends. The sink never
+    /// influences execution, and its contents stay byte-identical at any
+    /// worker count.
     pub fn run_sharded_obs<T, I, F>(
         &self,
         targets: &[Ipv4],
@@ -333,8 +343,8 @@ impl RttCampaign {
     }
 
     /// [`RttCampaign::run`] that also streams the `rtt_ms` histogram and
-    /// the answered-ping counter into an observability sink. Observations
-    /// happen after the per-region merge, in `(region, target)` order, so
+    /// the answered-ping counter into an observability sink. Both are
+    /// tallied after the per-region merge and added once per campaign, so
     /// the registry contents never depend on worker scheduling.
     pub fn run_obs(
         plane: &DataPlane<'_>,
@@ -367,15 +377,23 @@ impl RttCampaign {
                 per_region.push(h.join().expect("rtt worker panicked"));
             }
         });
+        // The answered count and the `rtt_ms` buckets are tallied here and
+        // added to the registry once per campaign. RTTs are computed
+        // floats, so `HistogramValue::observe` keeps the registry's reject
+        // path for NaN, infinite and negative values.
+        let mut answered = 0u64;
+        let mut rtt_hist = cm_obs::HistogramValue::new(&RTT_BUCKETS);
         let mut min_rtt: HashMap<Ipv4, HashMap<RegionId, f64>> = HashMap::new();
         for (&region, rows) in regions.iter().zip(per_region) {
             for (t, rtt) in rows {
-                if let Some(sink) = obs {
-                    sink.registry.inc("ping_answered_total", 1);
-                    sink.registry.observe("rtt_ms", rtt);
-                }
+                answered += 1;
+                rtt_hist.observe(rtt);
                 min_rtt.entry(t).or_default().insert(region, rtt);
             }
+        }
+        if let Some(sink) = obs {
+            sink.registry.inc("ping_answered_total", answered);
+            sink.registry.merge_histogram("rtt_ms", &rtt_hist);
         }
         RttCampaign { min_rtt }
     }
