@@ -147,6 +147,7 @@ fn fit(series: &[(f64, f64)]) -> Option<(f64, f64)> {
 /// consistent with one shared counter?
 fn monotonic_bounds_test(a: &[(f64, f64)], b: &[(f64, f64)], rate: f64) -> bool {
     let mut merged: Vec<(f64, f64)> = a.iter().chain(b.iter()).copied().collect();
+    // cm-lint: allow(L1_UNWRAP, float comparator over finite values)
     merged.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap());
     // Align both series modulo 65536: the unwrapped offsets may differ by a
     // multiple of 65536; normalize each point by subtracting rate*t and
@@ -208,7 +209,7 @@ pub fn resolve_region(
         }
         r
     }
-    // cm-lint: nondet-quarantined(union-find merge order cannot change the final partition; members are sorted before output)
+    // cm-lint: allow(D4_MAP_ORDER, union-find merge order cannot change the final partition; members are sorted before output)
     for idxs in buckets.values() {
         for (pos, &i) in idxs.iter().enumerate() {
             for &j in &idxs[pos + 1..] {
@@ -285,7 +286,7 @@ pub fn merge_sets(all: Vec<Vec<Ipv4>>) -> Vec<Vec<Ipv4>> {
         }
     }
     let mut groups: HashMap<usize, Vec<Ipv4>> = HashMap::new();
-    // cm-lint: nondet-quarantined(each address is folded into its root exactly once and every group is sorted before output)
+    // cm-lint: allow(D4_MAP_ORDER, each address is folded into its root exactly once and every group is sorted before output)
     for (&addr, &id) in &id_of {
         let r = find(&mut parent, id);
         groups.entry(r).or_default().push(addr);

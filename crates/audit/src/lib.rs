@@ -20,8 +20,8 @@
 //! assert!(report.is_clean(), "{report}");
 //! ```
 //!
-//! The companion `lintwall` binary (`cargo run -p cm-audit --bin lintwall`)
-//! enforces source-level hygiene across the workspace; see `DESIGN.md`.
+//! Source-level hygiene (no `unwrap` in library code, no map-order
+//! iteration in report paths) is `cm-lint`'s L-rules; see `DESIGN.md`.
 
 #![deny(missing_docs)]
 

@@ -98,7 +98,7 @@ impl<'d> Bdrmap<'d> {
             .map(|p| p.base().slash24_probe_target())
             .collect();
         for region in regions {
-            let mut traces: Vec<Traceroute> = Vec::new(); // cm-lint: hot-cost-accepted(one trace buffer per region; bounded by region count, and run_region borrows it immediately)
+            let mut traces: Vec<Traceroute> = Vec::new(); // cm-lint: allow(P1_HEAP_ALLOC, one trace buffer per region; bounded by region count, and run_region borrows it immediately)
             for &t in &targets {
                 traces.push(plane.traceroute(cloud, region, t));
             }
@@ -131,7 +131,7 @@ impl<'d> Bdrmap<'d> {
                 .hops
                 .iter()
                 .filter_map(|h| h.addr.map(|a| (h.ttl, a)))
-                .collect(); // cm-lint: hot-cost-accepted(per-trace hop list feeds windows(2); mirrors the reference bdrmap walk)
+                .collect(); // cm-lint: allow(P1_HEAP_ALLOC, per-trace hop list feeds windows(2); mirrors the reference bdrmap walk)
             for w in hops.windows(2) {
                 if let Some(&asn) = self.snapshot.lookup(w[1].1) {
                     if !self.cloud_asns.contains(&asn) {
@@ -211,10 +211,10 @@ impl<'d> Bdrmap<'d> {
         let dests = dest_ases.get(&cbi)?;
         let mut common: Option<HashSet<Asn>> = None;
         for &d in dests {
-            let provs: HashSet<Asn> = self.datasets.asrel.providers(d).into_iter().collect(); // cm-lint: hot-cost-accepted(provider sets are small and intersected immediately; the loop exits once the intersection empties)
+            let provs: HashSet<Asn> = self.datasets.asrel.providers(d).into_iter().collect(); // cm-lint: allow(P1_HEAP_ALLOC, provider sets are small and intersected immediately; the loop exits once the intersection empties)
             common = Some(match common {
                 None => provs,
-                Some(c) => c.intersection(&provs).copied().collect(), // cm-lint: hot-cost-accepted(intersection shrinks monotonically; rebuilt at most once per destination AS)
+                Some(c) => c.intersection(&provs).copied().collect(), // cm-lint: allow(P1_HEAP_ALLOC, intersection shrinks monotonically; rebuilt at most once per destination AS)
             });
             if common.as_ref().map(|c| c.is_empty()).unwrap_or(false) {
                 return None;
@@ -234,7 +234,7 @@ impl<'d> Bdrmap<'d> {
         let mut was_cbi: HashSet<Ipv4> = HashSet::new();
         let mut as0: HashSet<Ipv4> = HashSet::new();
         for (_, run) in &result.runs {
-            // cm-lint: nondet-quarantined(keyed set accumulation; inserts commute, so label iteration order is immaterial)
+            // cm-lint: allow(D4_MAP_ORDER, keyed set accumulation; inserts commute, so label iteration order is immaterial)
             for (&addr, &label) in &run.labels {
                 match label {
                     Label::Abi => {

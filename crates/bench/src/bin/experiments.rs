@@ -50,14 +50,18 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
+            // cm-lint: allow(L1_UNWRAP, CLI argument parsing in a binary)
             "--scale" => scale = args.next().expect("--scale needs a value"),
             "--seed" => {
                 seed = args
                     .next()
+                    // cm-lint: allow(L1_UNWRAP, CLI argument parsing in a binary)
                     .expect("--seed needs a value")
                     .parse()
+                    // cm-lint: allow(L1_UNWRAP, CLI argument parsing in a binary)
                     .expect("seed must be an integer")
             }
+            // cm-lint: allow(L1_UNWRAP, CLI argument parsing in a binary)
             "--dump" => dump = Some(args.next().expect("--dump needs a directory").into()),
             "--bench-json" => match args.next() {
                 Some(p) => bench_json = p.into(),
@@ -67,6 +71,7 @@ fn main() {
                 Some(l) => bench_label = Some(l),
                 None => panic!("--bench-label needs a value"),
             },
+            // cm-lint: allow(L1_UNWRAP, CLI argument parsing in a binary)
             "--faults" => faults = args.next().expect("--faults needs a profile name"),
             "--workers" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => workers = v,
@@ -236,6 +241,7 @@ fn main() {
             // run to run, and `all`'s stdout is byte-stable for a fixed
             // (scale, seed).
         ] {
+            // cm-lint: allow(L1_UNWRAP, binary entry point: a failure aborts the run with its message)
             println!("{}", run(name).unwrap());
         }
     } else {
@@ -246,6 +252,7 @@ fn main() {
     }
 
     if let Some(dir) = dump {
+        // cm-lint: allow(L1_UNWRAP, binary entry point: a failure aborts the run with its message)
         report::dump_tsv(&atlas, &dir).expect("TSV dump failed");
         eprintln!("# figure series written to {}", dir.display());
     }

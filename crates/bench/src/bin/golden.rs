@@ -135,6 +135,7 @@ fn main() -> ExitCode {
 
     let mut failures = 0u32;
     for profile in profiles {
+        // cm-lint: allow(L1_UNWRAP, guarded by containment: every profile name comes from the registry)
         let plan = FaultPlan::named(profile).expect("profiles come from the registry");
         let faulted = if plan.is_clean() {
             clean.clone()

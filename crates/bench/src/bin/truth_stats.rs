@@ -12,6 +12,7 @@ use std::collections::{HashMap, HashSet};
 fn main() {
     let mut args = std::env::args().skip(1);
     let scale = args.next().unwrap_or_else(|| "full".into());
+    // cm-lint: allow(L1_UNWRAP, CLI argument parsing in a binary)
     let seed: u64 = args.next().map(|s| s.parse().unwrap()).unwrap_or(2019);
     let inet = cm_bench::build_internet(&scale, seed);
 

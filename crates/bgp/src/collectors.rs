@@ -48,7 +48,7 @@ impl BgpView {
                 if let Some(&peer) = path.last() {
                     visible_peers.insert(peer);
                 }
-                feeder_paths.insert(f, path.clone()); // cm-lint: hot-cost-accepted(one path copy per feeder at view construction; the view must own its paths)
+                feeder_paths.insert(f, path.clone()); // cm-lint: allow(P2_CLONE, one path copy per feeder at view construction; the view must own its paths)
             }
         }
         BgpView {
@@ -135,7 +135,7 @@ pub fn best_paths_to_cloud(inet: &Internet, cloud: CloudId) -> HashMap<AsIndex, 
         if dist[i] == u32::MAX {
             continue;
         }
-        let mut path = Vec::new(); // cm-lint: hot-cost-accepted(each AS owns its reconstructed best path; built once per AS when the view is computed)
+        let mut path = Vec::new(); // cm-lint: allow(P1_HEAP_ALLOC, each AS owns its reconstructed best path; built once per AS when the view is computed)
         let mut cur = AsIndex(i as u32);
         loop {
             path.push(cur);
@@ -149,7 +149,7 @@ pub fn best_paths_to_cloud(inet: &Internet, cloud: CloudId) -> HashMap<AsIndex, 
                 .iter()
                 .copied()
                 .filter(|p| dist[p.index()] == d - 1)
-                .collect(); // cm-lint: hot-cost-accepted(the stable pick draw needs the candidate parents as a slice; provider fan-in is small)
+                .collect(); // cm-lint: allow(P1_HEAP_ALLOC, the stable pick draw needs the candidate parents as a slice; provider fan-in is small)
             debug_assert!(!parents.is_empty());
             let pick = stablehash::pick(
                 0x9A0_u64,

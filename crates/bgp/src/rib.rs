@@ -188,7 +188,7 @@ impl RoutingTable {
         }
 
         let mut max_prefix_len = 0u8;
-        // cm-lint: nondet-quarantined(candidates are sorted and inserted into a keyed trie, erasing accumulation order)
+        // cm-lint: allow(D4_MAP_ORDER, candidates are sorted and inserted into a keyed trie, erasing accumulation order)
         for (prefix, mut cands) in acc {
             // Deterministic candidate order regardless of HashMap iteration.
             // `route_at` relies on it: each (path_len, pref) tier is one
@@ -348,7 +348,7 @@ impl RoutingTable {
                     if p == u32::MAX {
                         // Origin not actually in the tree (Specific route):
                         // fall back to the two-hop path.
-                        // cm-lint: hot-cost-accepted(fallback executes at most once per lookup and returns immediately)
+                        // cm-lint: allow(P1_HEAP_ALLOC, fallback executes at most once per lookup and returns immediately)
                         return vec![peer, origin];
                     }
                     cur = AsIndex(p);

@@ -183,13 +183,13 @@ impl SegmentPool {
     ///   drop unexplainable segments);
     /// * `owner_override` only covers known interfaces.
     pub fn check_invariants(&self) -> Result<(), String> {
-        // cm-lint: nondet-quarantined(validation scan; the success path is order-independent and any violation aborts the run)
+        // cm-lint: allow(D4_MAP_ORDER, validation scan; the success path is order-independent and any violation aborts the run)
         for seg in self.segments.keys() {
             if !self.abis.contains_key(&seg.abi) {
-                return Err(format!("segment {:?} has unknown ABI", seg)); // cm-lint: hot-cost-accepted(failure-path message; the format! runs at most once, right before the scan aborts)
+                return Err(format!("segment {:?} has unknown ABI", seg)); // cm-lint: allow(P3_FORMAT, failure-path message; the format! runs at most once, right before the scan aborts)
             }
             if !self.cbis.contains_key(&seg.cbi) {
-                return Err(format!("segment {:?} has unknown CBI", seg)); // cm-lint: hot-cost-accepted(failure-path message; the format! runs at most once, right before the scan aborts)
+                return Err(format!("segment {:?} has unknown CBI", seg)); // cm-lint: allow(P3_FORMAT, failure-path message; the format! runs at most once, right before the scan aborts)
             }
         }
         if let Some(both) = self.abis.keys().find(|a| self.cbis.contains_key(a)) {
@@ -202,10 +202,10 @@ impl SegmentPool {
                 self.accepted
             ));
         }
-        // cm-lint: nondet-quarantined(validation scan; the success path is order-independent and any violation aborts the run)
+        // cm-lint: allow(D4_MAP_ORDER, validation scan; the success path is order-independent and any violation aborts the run)
         for addr in self.owner_override.keys() {
             if !self.abis.contains_key(addr) && !self.cbis.contains_key(addr) {
-                // cm-lint: hot-cost-accepted(failure-path message; the format! runs at most once, right before the scan aborts)
+                // cm-lint: allow(P3_FORMAT, failure-path message; the format! runs at most once, right before the scan aborts)
                 return Err(format!("owner override on unknown interface {addr}"));
             }
         }
@@ -225,7 +225,7 @@ impl SegmentPool {
     /// the by-value path delegates here at no extra cost.
     pub fn merge_ref(&mut self, other: &SegmentPool) {
         assert_eq!(self.cloud_org, other.cloud_org);
-        // cm-lint: nondet-quarantined(keyed entry-merge; each key is visited once and the folds commute)
+        // cm-lint: allow(D4_MAP_ORDER, keyed entry-merge; each key is visited once and the folds commute)
         for (seg, meta) in &other.segments {
             let e = self.segments.entry(*seg).or_default();
             e.count += meta.count;
@@ -235,28 +235,28 @@ impl SegmentPool {
             if e.post_cbi.is_none() {
                 e.post_cbi = meta.post_cbi;
             }
-            // cm-lint: nondet-quarantined(set-union extend; insertion order into a HashSet cannot affect its contents)
+            // cm-lint: allow(D4_MAP_ORDER, set-union extend; insertion order into a HashSet cannot affect its contents)
             e.regions.extend(meta.regions.iter().copied());
         }
-        // cm-lint: nondet-quarantined(keyed entry-merge; each key is visited once and the folds commute)
+        // cm-lint: allow(D4_MAP_ORDER, keyed entry-merge; each key is visited once and the folds commute)
         for (&a, info) in &other.cbis {
             match self.cbis.entry(a) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     e.get_mut()
                         .reachable_slash24
-                        // cm-lint: nondet-quarantined(set-union extend; insertion order into a HashSet cannot affect its contents)
+                        // cm-lint: allow(D4_MAP_ORDER, set-union extend; insertion order into a HashSet cannot affect its contents)
                         .extend(info.reachable_slash24.iter().copied());
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(info.clone()); // cm-lint: hot-cost-accepted(first sighting of a CBI must own its reachable-set; the by-ref splice cannot move it out)
+                    e.insert(info.clone()); // cm-lint: allow(P2_CLONE, first sighting of a CBI must own its reachable-set; the by-ref splice cannot move it out)
                 }
             }
         }
-        // cm-lint: nondet-quarantined(keyed entry-merge; each key is visited once and the folds commute)
+        // cm-lint: allow(D4_MAP_ORDER, keyed entry-merge; each key is visited once and the folds commute)
         for (&a, &n) in &other.abis {
             self.abis.entry(a).or_insert(n);
         }
-        // cm-lint: nondet-quarantined(keyed entry-merge; each key is visited once and the folds commute)
+        // cm-lint: allow(D4_MAP_ORDER, keyed entry-merge; each key is visited once and the folds commute)
         for (&a, ev) in &other.successors {
             let e = self.successors.entry(a).or_default();
             e.cloud_successor |= ev.cloud_successor;
@@ -270,7 +270,7 @@ impl SegmentPool {
         self.discards.cloud_reentry += other.discards.cloud_reentry;
         self.accepted += other.accepted;
         self.owner_override
-            // cm-lint: nondet-quarantined(keyed map extend; each key maps to one deterministic override, so insertion order is immaterial)
+            // cm-lint: allow(D4_MAP_ORDER, keyed map extend; each key maps to one deterministic override, so insertion order is immaterial)
             .extend(other.owner_override.iter().map(|(&k, &v)| (k, v)));
     }
 

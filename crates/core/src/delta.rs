@@ -365,7 +365,7 @@ impl<'i> DeltaEngine<'i> {
         let seed = inet.seed ^ cfg.seed;
         let public = derive_public_data(inet, &cfg, seed)?;
         let workers = if cfg.probe_workers == 0 {
-            // cm-lint: nondet-quarantined(worker count only sizes the synthesis pool; the coordinator folds group products in canonical order, so every product is byte-identical at any count)
+            // cm-lint: allow(D2_PARALLELISM, worker count only sizes the synthesis pool; the coordinator folds group products in canonical order, so every product is byte-identical at any count)
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         } else {
             cfg.probe_workers
@@ -409,6 +409,7 @@ impl<'i> DeltaEngine<'i> {
         let (finish_plane, worker_planes) = self
             .planes
             .split_first()
+            // cm-lint: allow(L1_UNWRAP, guarded by construction: the engine always holds the downstream plane)
             .expect("engine always holds the downstream plane");
         let annotator = Annotator::new(&self.public.snapshot, &self.public.datasets);
         let cloud_org = self.public.cloud_org;
@@ -510,9 +511,9 @@ impl<'i> DeltaEngine<'i> {
         );
         ghost_fault.absorb(sweep_fault);
         self_check(&pool, "round one")?;
-        // cm-lint: nondet-quarantined(table1_row takes commutative count/fraction tallies; value order is immaterial)
+        // cm-lint: allow(D4_MAP_ORDER, table1_row takes commutative count/fraction tallies; value order is immaterial)
         let t1_abi = table1_row(pool.abis.values());
-        // cm-lint: nondet-quarantined(table1_row takes commutative count/fraction tallies; value order is immaterial)
+        // cm-lint: allow(D4_MAP_ORDER, table1_row takes commutative count/fraction tallies; value order is immaterial)
         let t1_cbi = table1_row(pool.cbis.values().map(|c| &c.note));
         // Mirrors the scratch pipeline's per-stage peak-memory gauge: the
         // spliced sweep pool is byte-identical to the scratch sweep pool,
@@ -630,9 +631,9 @@ impl<'i> DeltaEngine<'i> {
             );
             None
         };
-        // cm-lint: nondet-quarantined(table1_row takes commutative count/fraction tallies; value order is immaterial)
+        // cm-lint: allow(D4_MAP_ORDER, table1_row takes commutative count/fraction tallies; value order is immaterial)
         let t1_eabi = table1_row(pool.abis.values());
-        // cm-lint: nondet-quarantined(table1_row takes commutative count/fraction tallies; value order is immaterial)
+        // cm-lint: allow(D4_MAP_ORDER, table1_row takes commutative count/fraction tallies; value order is immaterial)
         let t1_ecbi = table1_row(pool.cbis.values().map(|c| &c.note));
         let table1 = [t1_abi, t1_cbi, t1_eabi, t1_ecbi];
 
@@ -739,7 +740,7 @@ fn refresh_dirty(
         // the workers' blocked sends) before the scope joins them.
         let (tx, rx) = mpsc::sync_channel::<(usize, RawGroup)>(2 * workers);
         for plane in &worker_planes[..workers] {
-            let tx = tx.clone(); // cm-lint: hot-cost-accepted(one sender clone per worker thread at spawn)
+            let tx = tx.clone(); // cm-lint: allow(P2_CLONE, one sender clone per worker thread at spawn)
             let next = &next;
             let dirty = &dirty;
             scope.spawn(move || {
@@ -752,7 +753,7 @@ fn refresh_dirty(
                     let spec = dirty[w];
                     let fault_before = plane.fault_impact();
                     let memo_before = plane.route_memo_stats();
-                    let mut traces = Vec::with_capacity(spec.targets.len()); // cm-lint: hot-cost-accepted(the batch is sent over the channel to the coordinator, so the buffer cannot be reused)
+                    let mut traces = Vec::with_capacity(spec.targets.len()); // cm-lint: allow(P1_HEAP_ALLOC, the batch is sent over the channel to the coordinator, so the buffer cannot be reused)
                     for &t in &spec.targets {
                         traces.push(plane.traceroute_at(cloud, spec.key.region, t, spec.key.epoch));
                     }
@@ -873,6 +874,7 @@ fn splice_round(
     for spec in specs {
         let p = cache
             .get(&spec.key)
+            // cm-lint: allow(L1_UNWRAP, guarded by containment: refresh_dirty synthesized every missing group)
             .expect("refresh_dirty synthesized every missing group");
         pool.merge_ref(&p.pool);
         tally.merge(&p.tally);

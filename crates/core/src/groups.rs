@@ -144,7 +144,7 @@ impl Grouping {
         snapshot: &PrefixTrie<Asn>,
     ) -> Grouping {
         let mut per_as: HashMap<Asn, AsProfile> = HashMap::new();
-        // cm-lint: nondet-quarantined(keyed per-AS profile accumulation; counter adds and set inserts commute)
+        // cm-lint: allow(D4_MAP_ORDER, keyed per-AS profile accumulation; counter adds and set inserts commute)
         for seg in pool.segments.keys() {
             let Some(info) = pool.cbis.get(&seg.cbi) else {
                 continue;
@@ -211,14 +211,14 @@ impl Grouping {
         let mut features: HashMap<PeeringGroup, FeatureDists> = HashMap::new();
         // Segment diffs indexed per CBI for the RTT feature.
         let mut diffs_of_cbi: HashMap<Ipv4, Vec<f64>> = HashMap::new();
-        // cm-lint: nondet-quarantined(per-CBI diff lists are distributions; every consumer sorts before summarizing)
+        // cm-lint: allow(D4_MAP_ORDER, per-CBI diff lists are distributions; every consumer sorts before summarizing)
         for (&(_, cbi), &d) in rtt_diff {
             diffs_of_cbi.entry(cbi).or_default().push(d);
         }
-        // cm-lint: nondet-quarantined(feature vectors are distributions; every consumer sorts before summarizing or dumping)
+        // cm-lint: allow(D4_MAP_ORDER, feature vectors are distributions; every consumer sorts before summarizing or dumping)
         for (&asn, profile) in &per_as {
             let cone = cone_24(asn) as f64;
-            // cm-lint: nondet-quarantined(feature vectors are distributions; every consumer sorts before summarizing or dumping)
+            // cm-lint: allow(D4_MAP_ORDER, feature vectors are distributions; every consumer sorts before summarizing or dumping)
             for (&group, cbis) in &profile.cbis_by_group {
                 let f = features.entry(group).or_default();
                 f.cone_slash24.push(cone);
@@ -226,7 +226,7 @@ impl Grouping {
                     .iter()
                     .filter_map(|c| pool.cbis.get(c))
                     .flat_map(|i| i.reachable_slash24.iter().copied())
-                    .collect(); // cm-lint: hot-cost-accepted(the per-group reachability union is the feature being computed; each group is visited once)
+                    .collect(); // cm-lint: allow(P1_HEAP_ALLOC, the per-group reachability union is the feature being computed; each group is visited once)
                 f.reachable_slash24.push(reach.len() as f64);
                 f.cbis.push(cbis.len() as f64);
                 f.abis.push(
@@ -240,7 +240,8 @@ impl Grouping {
                     .iter()
                     .filter_map(|c| diffs_of_cbi.get(c))
                     .flat_map(|v| v.iter().copied())
-                    .collect(); // cm-lint: hot-cost-accepted(RTT diffs must be materialized to take a median)
+                    .collect(); // cm-lint: allow(P1_HEAP_ALLOC, RTT diffs must be materialized to take a median)
+                                // cm-lint: allow(L1_UNWRAP, float comparator over finite values)
                 ds.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 if !ds.is_empty() {
                     f.rtt_diff_ms.push(ds[ds.len() / 2]);
@@ -248,7 +249,7 @@ impl Grouping {
                 let metros: HashSet<_> = cbis
                     .iter()
                     .filter_map(|c| pins.pins.get(c).map(|p| p.metro))
-                    .collect(); // cm-lint: hot-cost-accepted(the per-group metro set is the feature being computed; dedup needs a set)
+                    .collect(); // cm-lint: allow(P1_HEAP_ALLOC, the per-group metro set is the feature being computed; dedup needs a set)
                 f.metros.push(metros.len() as f64);
             }
         }

@@ -40,7 +40,7 @@ impl Icg {
     pub fn build(pool: &SegmentPool, pins: &PinOutcome) -> Icg {
         let mut abi_nbrs: HashMap<Ipv4, HashSet<Ipv4>> = HashMap::new();
         let mut cbi_nbrs: HashMap<Ipv4, HashSet<Ipv4>> = HashMap::new();
-        // cm-lint: nondet-quarantined(keyed adjacency-set accumulation; inserts commute)
+        // cm-lint: allow(D4_MAP_ORDER, keyed adjacency-set accumulation; inserts commute)
         for seg in pool.segments.keys() {
             abi_nbrs.entry(seg.abi).or_default().insert(seg.cbi);
             cbi_nbrs.entry(seg.cbi).or_default().insert(seg.abi);
@@ -58,7 +58,7 @@ impl Icg {
                 continue;
             }
             let mut size = 0usize;
-            let mut queue = vec![(true, start)]; // cm-lint: hot-cost-accepted(one BFS queue per connected component; components partition the graph, so total pushes stay linear)
+            let mut queue = vec![(true, start)]; // cm-lint: allow(P1_HEAP_ALLOC, one BFS queue per connected component; components partition the graph, so total pushes stay linear)
             visited.insert((true, start));
             while let Some((is_abi, node)) = queue.pop() {
                 size += 1;

@@ -187,7 +187,7 @@ impl<'x> Pinner<'x> {
 
     /// All interfaces in scope (ABIs + CBIs).
     fn universe(&self) -> impl Iterator<Item = Ipv4> + '_ {
-        // cm-lint: nondet-quarantined(consumers make per-address independent decisions into keyed maps, so order is immaterial)
+        // cm-lint: allow(D4_MAP_ORDER, consumers make per-address independent decisions into keyed maps, so order is immaterial)
         self.pool.abis.keys().chain(self.pool.cbis.keys()).copied()
     }
 
@@ -294,6 +294,7 @@ impl<'x> Pinner<'x> {
             let metros: HashSet<MetroId> = pins.iter().map(|p| p.metro).collect();
             if metros.len() == 1 {
                 // Keep the highest-confidence source for bookkeeping.
+                // cm-lint: allow(L1_UNWRAP, guarded by an emptiness check: one metro implies at least one pin)
                 let best = pins.iter().min_by_key(|p| p.source).unwrap();
                 anchors.insert(addr, *best);
             } else {
@@ -405,7 +406,7 @@ impl<'x> Pinner<'x> {
         let mut pins = anchors;
         // Precompute short segments (and the Figure 4b series).
         let mut short_segments: Vec<(Ipv4, Ipv4)> = Vec::new();
-        // cm-lint: nondet-quarantined(short_segments is sorted before use and the fig4b series is sorted by every consumer)
+        // cm-lint: allow(D4_MAP_ORDER, short_segments is sorted before use and the fig4b series is sorted by every consumer)
         for seg in self.pool.segments.keys() {
             if let Some(d) = self.segment_diff(seg.abi, seg.cbi) {
                 out.fig4b_segment_diffs.push(d);
@@ -429,11 +430,11 @@ impl<'x> Pinner<'x> {
                 let metros: HashSet<MetroId> = set
                     .iter()
                     .filter_map(|a| pins.get(a).map(|p| p.metro))
-                    .collect(); // cm-lint: hot-cost-accepted(alias sets are small; the set dedups metros to detect facility conflicts)
+                    .collect(); // cm-lint: allow(P1_HEAP_ALLOC, alias sets are small; the set dedups metros to detect facility conflicts)
                 match metros.len() {
                     0 => {}
                     1 => {
-                        // cm-lint: nondet-quarantined(guarded singleton read; the len() == 1 arm has exactly one element)
+                        // cm-lint: allow(D4_MAP_ORDER, L1_UNWRAP, guarded singleton read; the len() == 1 arm has exactly one element)
                         let m = *metros.iter().next().unwrap();
                         for &a in set {
                             if !pins.contains_key(&a) && self.in_universe(a) {
@@ -515,6 +516,7 @@ impl<'x> Pinner<'x> {
             };
             if per.len() == 1 {
                 out.single_region += 1;
+                // cm-lint: allow(L1_UNWRAP, guarded by an emptiness check: the per.len() == 1 arm has one key)
                 out.region_pins.insert(addr, *per.keys().next().unwrap());
                 continue;
             }
@@ -542,18 +544,18 @@ impl<'x> Pinner<'x> {
         let (anchors, _, _) = self.collect_anchors(&mut scratch);
         // Stratify by metro.
         let mut by_metro: HashMap<MetroId, Vec<(Ipv4, Pin)>> = HashMap::new();
-        // cm-lint: nondet-quarantined(keyed stratification; each metro bucket is stablehash-sorted before the fold split)
+        // cm-lint: allow(D4_MAP_ORDER, keyed stratification; each metro bucket is stablehash-sorted before the fold split)
         for (a, p) in &anchors {
             by_metro.entry(p.metro).or_default().push((*a, *p));
         }
         let mut precisions = Vec::new();
         let mut recalls = Vec::new();
         for fold in 0..folds {
-            let mut train: HashMap<Ipv4, Pin> = HashMap::new(); // cm-lint: hot-cost-accepted(one train split per cross-validation fold; folds is a small constant)
-            let mut test: HashMap<Ipv4, Pin> = HashMap::new(); // cm-lint: hot-cost-accepted(one test split per cross-validation fold; folds is a small constant)
-                                                               // cm-lint: nondet-quarantined(metros split independently into keyed train/test maps; visit order is immaterial)
+            let mut train: HashMap<Ipv4, Pin> = HashMap::new(); // cm-lint: allow(P4_HASH_BUILD, one train split per cross-validation fold; folds is a small constant)
+            let mut test: HashMap<Ipv4, Pin> = HashMap::new(); // cm-lint: allow(P4_HASH_BUILD, one test split per cross-validation fold; folds is a small constant)
+                                                               // cm-lint: allow(D4_MAP_ORDER, metros split independently into keyed train/test maps; visit order is immaterial)
             for (metro, members) in &by_metro {
-                let mut members = members.clone(); // cm-lint: hot-cost-accepted(the per-fold shuffle must not reorder the shared anchor list)
+                let mut members = members.clone(); // cm-lint: allow(P2_CLONE, the per-fold shuffle must not reorder the shared anchor list)
                 members.sort_by_key(|(a, _)| {
                     stablehash::mix(seed, &[fold as u64, metro.0 as u64, a.to_u32() as u64])
                 });
@@ -576,7 +578,7 @@ impl<'x> Pinner<'x> {
             self.propagate(train, &mut out);
             let mut pinned = 0usize;
             let mut correct = 0usize;
-            // cm-lint: nondet-quarantined(commutative precision/recall tallies; visit order is immaterial)
+            // cm-lint: allow(D4_MAP_ORDER, commutative precision/recall tallies; visit order is immaterial)
             for (a, expected) in &test {
                 if let Some(got) = out.pins.get(a) {
                     pinned += 1;
@@ -689,6 +691,7 @@ pub fn refine_to_facilities(
     }
     for (addr, cands) in candidates {
         if cands.len() == 1 {
+            // cm-lint: allow(L1_UNWRAP, guarded by an emptiness check: the cands.len() == 1 arm has one element)
             out.pins.insert(addr, *cands.iter().next().unwrap());
         } else {
             out.ambiguous += 1;

@@ -254,13 +254,13 @@ impl StageTimings {
 /// why the pair carries the lint quarantine instead of the eight call
 /// sites.
 pub(crate) fn stage_clock() -> Instant {
-    // cm-lint: nondet-quarantined(stage wall clock lands in the recorder's nondeterministic JSONL section, never the digest)
+    // cm-lint: allow(D1_WALL_CLOCK, stage wall clock lands in the recorder's nondeterministic JSONL section, never the digest)
     Instant::now()
 }
 
 /// Milliseconds elapsed since a [`stage_clock`] reading.
 pub(crate) fn stage_wall_ms(start: Instant) -> f64 {
-    // cm-lint: nondet-quarantined(stage wall clock lands in the recorder's nondeterministic JSONL section, never the digest)
+    // cm-lint: allow(D1_WALL_CLOCK, stage wall clock lands in the recorder's nondeterministic JSONL section, never the digest)
     start.elapsed().as_secs_f64() * 1000.0
 }
 
@@ -475,9 +475,9 @@ impl<'i> Pipeline<'i> {
         self_check(&pool, "round one")?;
         obs.span_start("table1");
         let span_clock = stage_clock();
-        // cm-lint: nondet-quarantined(table1_row takes commutative count/fraction tallies; value order is immaterial)
+        // cm-lint: allow(D4_MAP_ORDER, table1_row takes commutative count/fraction tallies; value order is immaterial)
         let t1_abi = table1_row(pool.abis.values());
-        // cm-lint: nondet-quarantined(table1_row takes commutative count/fraction tallies; value order is immaterial)
+        // cm-lint: allow(D4_MAP_ORDER, table1_row takes commutative count/fraction tallies; value order is immaterial)
         let t1_cbi = table1_row(pool.cbis.values().map(|c| &c.note));
         obs.span_end("table1", Some(stage_wall_ms(span_clock)), vec![("rows", 2)]);
         // Per-stage peak-memory gauge: what the sweep leaves alive,
@@ -538,9 +538,9 @@ impl<'i> Pipeline<'i> {
             faults_group(plane.fault_impact().since(faults_before)),
             memo_group(plane.route_memo_stats().since(memo_before)),
         );
-        // cm-lint: nondet-quarantined(table1_row takes commutative count/fraction tallies; value order is immaterial)
+        // cm-lint: allow(D4_MAP_ORDER, table1_row takes commutative count/fraction tallies; value order is immaterial)
         let t1_eabi = table1_row(pool.abis.values());
-        // cm-lint: nondet-quarantined(table1_row takes commutative count/fraction tallies; value order is immaterial)
+        // cm-lint: allow(D4_MAP_ORDER, table1_row takes commutative count/fraction tallies; value order is immaterial)
         let t1_ecbi = table1_row(pool.cbis.values().map(|c| &c.note));
         let table1 = [t1_abi, t1_cbi, t1_eabi, t1_ecbi];
 

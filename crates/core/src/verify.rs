@@ -35,9 +35,9 @@ impl HeuristicOutcome {
     /// ABIs confirmed by at least one heuristic.
     pub fn confirmed(&self) -> HashSet<Ipv4> {
         let mut s = self.ixp.clone();
-        // cm-lint: nondet-quarantined(set union; extending a set commutes, so source order is immaterial)
+        // cm-lint: allow(D4_MAP_ORDER, set union; extending a set commutes, so source order is immaterial)
         s.extend(self.hybrid.iter().copied());
-        // cm-lint: nondet-quarantined(set union; extending a set commutes, so source order is immaterial)
+        // cm-lint: allow(D4_MAP_ORDER, set union; extending a set commutes, so source order is immaterial)
         s.extend(self.reachable.iter().copied());
         s
     }
@@ -85,11 +85,11 @@ where
     let mut out = HeuristicOutcome::default();
     // Index CBIs per ABI once.
     let mut cbis_of: HashMap<Ipv4, Vec<Ipv4>> = HashMap::new();
-    // cm-lint: nondet-quarantined(per-ABI CBI lists are only probed with any()/contains-style checks, which ignore order)
+    // cm-lint: allow(D4_MAP_ORDER, per-ABI CBI lists are only probed with any()/contains-style checks, which ignore order)
     for seg in pool.segments.keys() {
         cbis_of.entry(seg.abi).or_default().push(seg.cbi);
     }
-    // cm-lint: nondet-quarantined(ABIs are classified independently into sets; visit order is immaterial)
+    // cm-lint: allow(D4_MAP_ORDER, ABIs are classified independently into sets; visit order is immaterial)
     for (&abi, cbis) in &cbis_of {
         // IXP-client: any CBI inside an IXP prefix.
         if cbis.iter().any(|c| {
@@ -203,8 +203,8 @@ pub fn apply_alias_corrections(
             .segments
             .iter()
             .filter(|(s, _)| s.abi == abi)
-            .map(|(s, m)| (*s, m.clone())) // cm-lint: hot-cost-accepted(meta is detached before pool.segments is mutated below)
-            .collect(); // cm-lint: hot-cost-accepted(the affected list must be snapshotted before pool.segments is mutated)
+            .map(|(s, m)| (*s, m.clone())) // cm-lint: allow(P2_CLONE, meta is detached before pool.segments is mutated below)
+            .collect(); // cm-lint: allow(P1_HEAP_ALLOC, the affected list must be snapshotted before pool.segments is mutated)
         affected.sort_by_key(|&(s, _)| s);
         for (seg, meta) in affected {
             pool.segments.remove(&seg);
@@ -213,7 +213,7 @@ pub fn apply_alias_corrections(
                 let e = pool.segments.entry(new_seg).or_default();
                 e.count += meta.count;
                 e.post_cbi = Some(seg.cbi);
-                // cm-lint: nondet-quarantined(set union; extending a set commutes, so source order is immaterial)
+                // cm-lint: allow(D4_MAP_ORDER, set union; extending a set commutes, so source order is immaterial)
                 e.regions.extend(meta.regions.iter().copied());
                 pool.abis
                     .entry(pre)
@@ -230,7 +230,7 @@ pub fn apply_alias_corrections(
             .or_insert_with(|| crate::borders::CbiInfo {
                 note,
                 first_dst: abi,
-                reachable_slash24: HashSet::new(), // cm-lint: hot-cost-accepted(empty-set initializer, evaluated only when a new CBI is first inserted)
+                reachable_slash24: HashSet::new(), // cm-lint: allow(P4_HASH_BUILD, empty-set initializer, evaluated only when a new CBI is first inserted)
             });
         pool.owner_override.insert(abi, owner);
     }
@@ -248,8 +248,8 @@ pub fn apply_alias_corrections(
                 .segments
                 .iter()
                 .filter(|(s, _)| s.cbi == cbi)
-                .map(|(s, m)| (*s, m.clone())) // cm-lint: hot-cost-accepted(meta is detached before pool.segments is mutated below)
-                .collect(); // cm-lint: hot-cost-accepted(the affected list must be snapshotted before pool.segments is mutated)
+                .map(|(s, m)| (*s, m.clone())) // cm-lint: allow(P2_CLONE, meta is detached before pool.segments is mutated below)
+                .collect(); // cm-lint: allow(P1_HEAP_ALLOC, the affected list must be snapshotted before pool.segments is mutated)
             affected.sort_by_key(|&(s, _)| s);
             for (seg, meta) in affected {
                 pool.segments.remove(&seg);
@@ -261,14 +261,14 @@ pub fn apply_alias_corrections(
                     let e = pool.segments.entry(new_seg).or_default();
                     e.count += meta.count;
                     e.pre_abi = Some(seg.abi);
-                    // cm-lint: nondet-quarantined(set union; extending a set commutes, so source order is immaterial)
+                    // cm-lint: allow(D4_MAP_ORDER, set union; extending a set commutes, so source order is immaterial)
                     e.regions.extend(meta.regions.iter().copied());
                     pool.cbis
                         .entry(post)
                         .or_insert_with(|| crate::borders::CbiInfo {
                             note: annotator.annotate(post),
                             first_dst: post,
-                            reachable_slash24: HashSet::new(), // cm-lint: hot-cost-accepted(empty-set initializer, evaluated only when a new CBI is first inserted)
+                            reachable_slash24: HashSet::new(), // cm-lint: allow(P4_HASH_BUILD, empty-set initializer, evaluated only when a new CBI is first inserted)
                         });
                 }
             }

@@ -69,7 +69,7 @@ impl VpiDetection {
 /// destination of the traceroute that first revealed it.
 pub fn build_target_pool(pool: &SegmentPool) -> Vec<Ipv4> {
     let mut targets: HashSet<Ipv4> = HashSet::new();
-    // cm-lint: nondet-quarantined(set inserts commute and the target pool is sorted before probing)
+    // cm-lint: allow(D4_MAP_ORDER, set inserts commute and the target pool is sorted before probing)
     for (&cbi, info) in &pool.cbis {
         if info.note.source == NoteSource::Ixp {
             continue;
@@ -124,6 +124,7 @@ pub fn detect(
         );
         out.campaign.merge(&stats);
         let mut pools = collectors.into_iter().map(BorderCollector::finish);
+        // cm-lint: allow(L1_UNWRAP, guarded by construction: one collector per region of the vantage cloud)
         let mut their_pool = pools.next().expect("vantage cloud has regions");
         for p in pools {
             their_pool.merge(p);
@@ -133,10 +134,10 @@ pub fn detect(
             .keys()
             .filter(|a| candidates.contains(a))
             .copied()
-            .collect(); // cm-lint: hot-cost-accepted(the per-cloud overlap set is the detection output itself)
-                        // cm-lint: nondet-quarantined(set union; extending a set commutes, so source order is immaterial)
+            .collect(); // cm-lint: allow(P1_HEAP_ALLOC, the per-cloud overlap set is the detection output itself)
+                        // cm-lint: allow(D4_MAP_ORDER, set union; extending a set commutes, so source order is immaterial)
         out.vpi_cbis.extend(overlap.iter().copied());
-        let name = plane.inet.clouds[cloud.index()].name.clone(); // cm-lint: hot-cost-accepted(one cloud-name copy per compared cloud for the report)
+        let name = plane.inet.clouds[cloud.index()].name.clone(); // cm-lint: allow(P2_CLONE, one cloud-name copy per compared cloud for the report)
         out.per_cloud.push((name, overlap));
     }
     out

@@ -420,7 +420,7 @@ impl FaultImpact {
     /// conserves).
     pub fn export_obs(&self, registry: &cm_obs::Registry) {
         for (axis, count) in self.counters() {
-            registry.inc(&format!("fault_impact_{axis}"), count); // cm-lint: hot-cost-accepted(observability export renders one counter name per axis, once per run)
+            registry.inc(&format!("fault_impact_{axis}"), count); // cm-lint: allow(P3_FORMAT, observability export renders one counter name per axis, once per run)
         }
     }
 }

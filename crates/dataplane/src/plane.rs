@@ -182,7 +182,7 @@ impl<'a> DataPlane<'a> {
     pub fn new(inet: &'a Internet, cfg: DataPlaneConfig) -> Self {
         match Self::try_new(inet, cfg) {
             Ok(plane) => plane,
-            // cm-lint: panic-safe(documented constructor contract — configs are workspace-built, not wire input; fallible callers use try_new)
+            // cm-lint: allow(S1_PANIC_PATH, documented constructor contract — configs are workspace-built, not wire input; fallible callers use try_new)
             Err(e) => panic!("invalid DataPlaneConfig: {e}"),
         }
     }
@@ -249,7 +249,7 @@ impl<'a> DataPlane<'a> {
                     }
                 }
             }
-            // cm-lint: nondet-quarantined(each value list is sorted independently; visit order is immaterial)
+            // cm-lint: allow(D4_MAP_ORDER, each value list is sorted independently; visit order is immaterial)
             for v in facility_uplinks.values_mut() {
                 v.sort_unstable();
             }
@@ -262,7 +262,7 @@ impl<'a> DataPlane<'a> {
         let mut ingress_pool: Vec<Vec<IfaceId>> = Vec::with_capacity(inet.interconnects.len());
         for ic in &inet.interconnects {
             let fac_metro = inet.facility(ic.facility).metro;
-            let mut pool_metros = vec![fac_metro]; // cm-lint: hot-cost-accepted(once-per-run constructor; this loop is precomputing the ingress pools)
+            let mut pool_metros = vec![fac_metro]; // cm-lint: allow(P1_HEAP_ALLOC, once-per-run constructor; this loop is precomputing the ingress pools)
             if let cm_topology::IcKind::PublicIxp(ix) = ic.kind {
                 if let Some(hosts) = inet.ixp_presence.get(&(ic.cloud, ix)) {
                     for &h in hosts {
@@ -273,7 +273,7 @@ impl<'a> DataPlane<'a> {
                     }
                 }
             }
-            let mut pool = Vec::new(); // cm-lint: hot-cost-accepted(once-per-run constructor; the pool built here is the flat table the hot path reuses)
+            let mut pool = Vec::new(); // cm-lint: allow(P1_HEAP_ALLOC, once-per-run constructor; the pool built here is the flat table the hot path reuses)
             for m in &pool_metros {
                 if let Some(p) = facility_uplinks.get(&(ic.cloud, m.0)) {
                     pool.extend_from_slice(p);
@@ -653,7 +653,7 @@ impl<'a> DataPlane<'a> {
 
         // 7. Destination endpoint. Either an interface we can attribute, or
         // a synthetic host in the origin's announced space.
-        // cm-lint: panic-safe(RoutingTable never emits a route with an empty AS path — the origin is appended at build time)
+        // cm-lint: allow(S1_PANIC_PATH, L1_UNWRAP, RoutingTable never emits a route with an empty AS path — the origin is appended at build time)
         let origin = *route.as_path.last().unwrap();
         if let Some(fid) = dst_iface {
             let r = inet.iface(fid).router;

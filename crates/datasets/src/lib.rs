@@ -205,7 +205,7 @@ impl IxpData {
     /// the §6.1 minIXRTT campaign.
     pub fn published_addrs(&self) -> impl Iterator<Item = (Ipv4, usize)> + '_ {
         self.ip_members
-            // cm-lint: nondet-quarantined(the one pipeline consumer extends an RTT target list that is sorted and deduped before probing)
+            // cm-lint: allow(D4_MAP_ORDER, the one pipeline consumer extends an RTT target list that is sorted and deduped before probing)
             .keys()
             .filter_map(move |&a| self.ixp_of(a).map(|ix| (a, ix)))
     }
@@ -264,13 +264,13 @@ impl PublicDatasets {
             let rec = if let Some(ix) = owner.ixp {
                 WhoisRecord {
                     asn: None,
-                    org_name: inet.ixps[ix as usize].name.clone(), // cm-lint: hot-cost-accepted(datasets are derived once per run; WHOIS records own their org names)
+                    org_name: inet.ixps[ix as usize].name.clone(), // cm-lint: allow(P2_CLONE, datasets are derived once per run; WHOIS records own their org names)
                 }
             } else {
                 let a = &inet.ases[owner.owner.index()];
                 WhoisRecord {
                     asn: Some(a.asn),
-                    org_name: inet.org_name(a.org).to_string(), // cm-lint: hot-cost-accepted(datasets are derived once per run; WHOIS records own their org names)
+                    org_name: inet.org_name(a.org).to_string(), // cm-lint: allow(P2_CLONE, datasets are derived once per run; WHOIS records own their org names)
                 }
             };
             whois_trie.insert(*prefix, rec);
@@ -281,7 +281,7 @@ impl PublicDatasets {
         for a in &inet.ases {
             as2org
                 .map
-                .insert(a.asn, (a.org, inet.org_name(a.org).to_string())); // cm-lint: hot-cost-accepted(datasets are derived once per run; AS2ORG records own their org names)
+                .insert(a.asn, (a.org, inet.org_name(a.org).to_string())); // cm-lint: allow(P2_CLONE, datasets are derived once per run; AS2ORG records own their org names)
         }
 
         // ---- AS relationships ---------------------------------------------
@@ -301,7 +301,7 @@ impl PublicDatasets {
                 let b = inet.as_node(c).asn;
                 push_edge(&mut asrel, a.asn, b, AsRelKind::ProviderCustomer, 1);
             }
-            // cm-lint: nondet-quarantined(AsNode::peers is an ordered Vec in cm-topology; the hash classification is a bare-name collision)
+            // cm-lint: allow(D4_MAP_ORDER, AsNode::peers is an ordered Vec in cm-topology; the hash classification is a bare-name collision)
             for &p in &a.peers {
                 if a.idx.0 < p.0 {
                     let b = inet.as_node(p).asn;
@@ -332,7 +332,7 @@ impl PublicDatasets {
         let mut pdb = PeeringDb::default();
         for f in &inet.facilities {
             pdb.facilities.push(FacilityRecord {
-                name: f.name.clone(), // cm-lint: hot-cost-accepted(datasets are derived once per run; PeeringDB records own facility names)
+                name: f.name.clone(), // cm-lint: allow(P2_CLONE, datasets are derived once per run; PeeringDB records own facility names)
                 metro: f.metro,
             });
         }
@@ -390,9 +390,9 @@ impl PublicDatasets {
             members.dedup();
             ixp.prefix_index.insert(gx.prefix, ixp.ixps.len());
             ixp.ixps.push(IxpRecord {
-                name: gx.name.clone(), // cm-lint: hot-cost-accepted(datasets are derived once per run; IXP records own their names)
+                name: gx.name.clone(), // cm-lint: allow(P2_CLONE, datasets are derived once per run; IXP records own their names)
                 prefix: gx.prefix,
-                metros: gx.metros.clone(), // cm-lint: hot-cost-accepted(datasets are derived once per run; IXP records own their metro lists)
+                metros: gx.metros.clone(), // cm-lint: allow(P2_CLONE, datasets are derived once per run; IXP records own their metro lists)
                 members,
             });
         }

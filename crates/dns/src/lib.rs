@@ -79,7 +79,7 @@ impl DnsDb {
                 // Direct-connect virtual-interface convention.
                 let vlan = 100 + (h % 3900);
                 match h % 3 {
-                    // cm-lint: hot-cost-accepted(hostnames are synthesized once per run; every interface needs its own name string)
+                    // cm-lint: allow(P3_FORMAT, hostnames are synthesized once per run; every interface needs its own name string)
                     0 => format!(
                         "dxvif-{:06x}.vl{}.{}{:02}.{}.net",
                         h & 0xffffff,
@@ -88,8 +88,8 @@ impl DnsDb {
                         h % 20,
                         as_name
                     ),
-                    1 => format!("aws-dx.vl{}.{}x{}.{}.net", vlan, m.airport, h % 9, as_name), // cm-lint: hot-cost-accepted(hostnames are synthesized once per run; every interface needs its own name string)
-                    // cm-lint: hot-cost-accepted(hostnames are synthesized once per run; every interface needs its own name string)
+                    1 => format!("aws-dx.vl{}.{}x{}.{}.net", vlan, m.airport, h % 9, as_name), // cm-lint: allow(P3_FORMAT, hostnames are synthesized once per run; every interface needs its own name string)
+                    // cm-lint: allow(P3_FORMAT, hostnames are synthesized once per run; every interface needs its own name string)
                     _ => format!(
                         "dxcon-{:06x}.{}{:02}.{}.net",
                         h & 0xffffff,
@@ -100,7 +100,7 @@ impl DnsDb {
                 }
             } else {
                 match style {
-                    // cm-lint: hot-cost-accepted(hostnames are synthesized once per run; every interface needs its own name string)
+                    // cm-lint: allow(P3_FORMAT, hostnames are synthesized once per run; every interface needs its own name string)
                     Style::BackboneAirport => format!(
                         "ae-{}.cloud.{}{:02}.{}.bb.{}.net",
                         h % 16,
@@ -110,10 +110,10 @@ impl DnsDb {
                         as_name
                     ),
                     Style::EdgeCity => {
-                        // cm-lint: hot-cost-accepted(hostnames are synthesized once per run; every interface needs its own name string)
+                        // cm-lint: allow(P3_FORMAT, hostnames are synthesized once per run; every interface needs its own name string)
                         format!("{}-{}-edge{}.{}.com", as_name, m.token, h % 8, as_name)
                     }
-                    Style::Bare => format!("core{}.{}.net", h % 12, as_name), // cm-lint: hot-cost-accepted(hostnames are synthesized once per run; every interface needs its own name string)
+                    Style::Bare => format!("core{}.{}.net", h % 12, as_name), // cm-lint: allow(P3_FORMAT, hostnames are synthesized once per run; every interface needs its own name string)
                 }
             };
             names.insert(addr, name);
@@ -163,7 +163,7 @@ impl DnsDb {
 
     /// Iterates all (address, hostname) pairs.
     pub fn iter(&self) -> impl Iterator<Item = (Ipv4, &str)> {
-        // cm-lint: nondet-quarantined(unordered pair stream by design; no digest-path code calls it and every test sorts what it collects)
+        // cm-lint: allow(D4_MAP_ORDER, unordered pair stream by design; no digest-path code calls it and every test sorts what it collects)
         self.names.iter().map(|(&a, n)| (a, n.as_str()))
     }
 }

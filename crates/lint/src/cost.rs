@@ -18,25 +18,19 @@
 //!    `Pipeline::run`, the §4.1 border walk, the `DataPlane` per-probe
 //!    emission path and the RIB/route-memo lookup;
 //! 3. **error** when a hot root can reach a seeded loop, unless the site
-//!    carries a `// cm-lint: hot-cost-accepted(<reason>)` annotation on
-//!    its own or the preceding line.
+//!    carries a `// cm-lint: allow(<RULE>, <reason>)` annotation
+//!    ([`crate::engine`]) on its own or the preceding line.
 //!
-//! The quarantine ledger mirrors the D-rule design: acceptances must
-//! carry a reason (`C2`), and an acceptance suppressing nothing is itself
-//! a finding (`C1`), so cost waivers cannot rot. Seeds in functions no
-//! hot root reaches are counted as *dormant* — cold-path allocation is
-//! not this pass's business.
+//! Seeds in functions no hot root reaches are counted as *dormant* —
+//! cold-path allocation is not this pass's business.
 
-use crate::extract::{call_refs, FileModel, Model};
-use crate::lexer::{Tok, TokKind};
-use crate::report::Finding;
-use crate::taint::Quarantined;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::ops::Range;
+use crate::engine::{Pass, Seed};
+use crate::extract::{FileModel, Model, Relation};
+use crate::lexer::{code, Tok, TokKind};
+use std::collections::BTreeSet;
 
 /// The declared hot roots: functions whose transitive callees run once
-/// per probe, per hop or per RIB lookup. `Owner::name` pins the impl
-/// type; a bare name matches any owner.
+/// per probe, per hop or per RIB lookup.
 pub const HOT_ROOTS: &[&str] = &[
     "Pipeline::run",
     "Campaign::run_sharded_obs",
@@ -48,226 +42,31 @@ pub const HOT_ROOTS: &[&str] = &[
     "FaultCounters::record",
 ];
 
-/// The annotation marker the cost pass looks for in comments.
-pub const ANNOTATION: &str = "cm-lint: hot-cost-accepted";
+/// The hot-path cost pass: rules P1–P6 over the bare-name call graph.
+pub const PASS: Pass = Pass {
+    name: "cost",
+    rules: &[
+        "P1_HEAP_ALLOC",
+        "P2_CLONE",
+        "P3_FORMAT",
+        "P4_HASH_BUILD",
+        "P5_HASH_REDRAW",
+        "P6_DYN_ITER",
+    ],
+    roots: Some((HOT_ROOTS, Relation::Full)),
+    seed,
+    advice: " on a hot path; hoist it out of the loop or precompute it",
+};
 
 /// The `stablehash` primitives whose redundant in-loop draws P5 flags.
 const STABLEHASH_FNS: &[&str] = &["splitmix64", "mix", "unit_f64", "chance", "pick"];
 
-/// Everything the cost pass produced: hard findings plus the acceptance
-/// ledger (rendered into the JSON report so reviewers see every waiver).
-pub struct CostOutcome {
-    /// Rule violations, deterministically ordered.
-    pub findings: Vec<Finding>,
-    /// Annotated (accepted) sites, deterministically ordered.
-    pub quarantined: Vec<Quarantined>,
-    /// Seeds no hot root can reach (informational: cold-path cost).
-    pub dormant: usize,
-}
-
-/// One per-iteration cost site found in a loop body.
-struct Seed {
-    rule: &'static str,
-    fn_idx: usize,
-    line: u32,
-    /// Line of the innermost enclosing loop header.
-    loop_line: u32,
-    /// Loop nesting depth of the site within its fn.
-    depth: u32,
-    what: String,
-}
-
-/// Runs the cost pass over the model.
-pub fn run(model: &Model, roots: &[&str]) -> CostOutcome {
-    let mut seeds: Vec<Seed> = Vec::new();
-    let mut quarantined: Vec<Quarantined> = Vec::new();
-    let mut findings: Vec<Finding> = Vec::new();
-
-    for (fn_idx, f) in model.fns.iter().enumerate() {
-        if f.in_test {
-            continue;
-        }
-        let file = &model.files[f.file];
-        // Vendored stand-ins participate in the call graph but are not
-        // seeded: their cost is charged to the workspace call site.
-        if file.path.starts_with("vendor/") {
-            continue;
-        }
-        seed_fn(fn_idx, f.body.clone(), model, &mut seeds);
+fn seed(model: &Model, _: &[bool]) -> Vec<Seed> {
+    let mut seeds = Vec::new();
+    for fn_idx in model.seeded_fns() {
+        seed_fn(fn_idx, model, &mut seeds);
     }
-
-    // Resolve acceptances: a seed on line L is suppressed by an
-    // annotation on line L or L-1. Track per-file annotation use.
-    let mut annotations: BTreeMap<(usize, u32), (String, bool)> = BTreeMap::new();
-    for (fi, file) in model.files.iter().enumerate() {
-        for t in &file.toks {
-            if t.kind == TokKind::Comment && is_annotation(&t.text) {
-                annotations.insert((fi, t.line), (annotation_reason(&t.text), false));
-            }
-        }
-    }
-    let mut live_seeds: Vec<Seed> = Vec::new();
-    for seed in seeds {
-        let fi = model.fns[seed.fn_idx].file;
-        let hit = [seed.line, seed.line.saturating_sub(1)]
-            .into_iter()
-            .find(|l| annotations.contains_key(&(fi, *l)));
-        match hit.and_then(|l| annotations.get_mut(&(fi, l))) {
-            Some((reason, used)) => {
-                *used = true;
-                quarantined.push(Quarantined {
-                    path: model.files[fi].path.clone(),
-                    line: seed.line,
-                    rule: seed.rule,
-                    reason: reason.clone(),
-                });
-            }
-            None => live_seeds.push(seed),
-        }
-    }
-
-    // Acceptance hygiene, mirroring the taint pass's A-rules.
-    for ((fi, line), (reason, used)) in &annotations {
-        let path = model.files[*fi].path.clone();
-        if reason.is_empty() {
-            findings.push(Finding {
-                rule: "C2_MISSING_REASON".into(),
-                path: path.clone(),
-                line: *line,
-                symbol: String::new(),
-                message: format!("{ANNOTATION} annotation must carry a (reason)"),
-                trace: Vec::new(),
-            });
-        }
-        if !*used {
-            findings.push(Finding {
-                rule: "C1_STALE_ACCEPTANCE".into(),
-                path,
-                line: *line,
-                symbol: String::new(),
-                message: format!(
-                    "{ANNOTATION} annotation suppresses nothing on this or the next line"
-                ),
-                trace: Vec::new(),
-            });
-        }
-    }
-
-    // Call graph + BFS from the hot roots, with parent chains for the
-    // witness traces — identical plumbing to the taint pass.
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); model.fns.len()];
-    for (i, f) in model.fns.iter().enumerate() {
-        if f.in_test {
-            continue;
-        }
-        let file = &model.files[f.file];
-        for name in call_refs(&file.toks, f.body.clone()) {
-            for callee in model.resolve(&file.crate_name, &name) {
-                if callee != i {
-                    edges[i].push(callee);
-                }
-            }
-        }
-        edges[i].sort_unstable();
-        edges[i].dedup();
-    }
-    let mut root_ids: Vec<usize> = Vec::new();
-    for spec in roots {
-        let resolved = model.resolve_root(spec);
-        if resolved.is_empty() {
-            findings.push(Finding {
-                rule: "R2_MISSING_HOT_ROOT".into(),
-                path: String::new(),
-                line: 0,
-                symbol: (*spec).to_string(),
-                message: format!(
-                    "hot root `{spec}` matches no workspace fn — update the hot-roots list"
-                ),
-                trace: Vec::new(),
-            });
-        }
-        root_ids.extend(resolved);
-    }
-    root_ids.sort_unstable();
-    root_ids.dedup();
-
-    let mut parent: Vec<Option<usize>> = vec![None; model.fns.len()];
-    let mut reached: Vec<bool> = vec![false; model.fns.len()];
-    let mut queue: VecDeque<usize> = root_ids.iter().copied().collect();
-    for &r in &root_ids {
-        reached[r] = true;
-    }
-    while let Some(i) = queue.pop_front() {
-        for &j in &edges[i] {
-            if !reached[j] {
-                reached[j] = true;
-                parent[j] = Some(i);
-                queue.push_back(j);
-            }
-        }
-    }
-
-    let mut dormant = 0usize;
-    for seed in &live_seeds {
-        if !reached[seed.fn_idx] {
-            dormant += 1;
-            continue;
-        }
-        let f = &model.fns[seed.fn_idx];
-        let file = &model.files[f.file];
-        let mut chain = vec![f.qualified()];
-        let mut cur = seed.fn_idx;
-        while let Some(p) = parent[cur] {
-            chain.push(model.fns[p].qualified());
-            cur = p;
-        }
-        chain.reverse();
-        findings.push(Finding {
-            rule: seed.rule.into(),
-            path: file.path.clone(),
-            line: seed.line,
-            symbol: f.qualified(),
-            message: format!(
-                "{} inside the loop at line {} (depth {}) on a hot path; hoist it out of \
-                 the loop, precompute it, or annotate with `// {ANNOTATION}(<reason>)`",
-                seed.what, seed.loop_line, seed.depth
-            ),
-            trace: chain,
-        });
-    }
-
-    findings.sort_by(|a, b| {
-        (&a.rule, &a.path, a.line, &a.message).cmp(&(&b.rule, &b.path, b.line, &b.message))
-    });
-    quarantined.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    CostOutcome {
-        findings,
-        quarantined,
-        dormant,
-    }
-}
-
-/// True when a comment *is* a cost acceptance — the marker must open the
-/// comment body, so prose quoting the grammar does not register.
-fn is_annotation(comment: &str) -> bool {
-    comment
-        .trim_start_matches(['/', '*', ' ', '\t'])
-        .starts_with(ANNOTATION)
-}
-
-/// Extracts the reason from `… cm-lint: hot-cost-accepted(reason) …`.
-fn annotation_reason(comment: &str) -> String {
-    let Some(at) = comment.find(ANNOTATION) else {
-        return String::new();
-    };
-    let rest = &comment[at + ANNOTATION.len()..];
-    let (Some(open), Some(close)) = (rest.find('('), rest.rfind(')')) else {
-        return String::new();
-    };
-    if close <= open {
-        return String::new();
-    }
-    rest[open + 1..close].trim().to_string()
+    seeds
 }
 
 /// One live loop scope during the body scan: the header line plus every
@@ -283,13 +82,11 @@ struct LoopScope {
 /// the loop-scope stack (same brace discipline as
 /// [`crate::extract::loop_depths`]) so each seed records its enclosing
 /// loop and depth.
-fn seed_fn(fn_idx: usize, body: Range<usize>, model: &Model, out: &mut Vec<Seed>) {
-    let file: &FileModel = &model.files[model.fns[fn_idx].file];
+fn seed_fn(fn_idx: usize, model: &Model, out: &mut Vec<Seed>) {
+    let file_idx = model.fns[fn_idx].file;
+    let file: &FileModel = &model.files[file_idx];
     let toks = &file.toks;
-    let code: Vec<usize> = body
-        .clone()
-        .filter(|&i| toks[i].kind != TokKind::Comment)
-        .collect();
+    let code = code(toks, model.fns[fn_idx].body.clone());
     let next_is =
         |ci: usize, pred: &dyn Fn(&Tok) -> bool| code.get(ci).map(|&i| &toks[i]).is_some_and(pred);
     let prev_is = |ci: usize, pred: &dyn Fn(&Tok) -> bool| {
@@ -375,11 +172,10 @@ fn seed_fn(fn_idx: usize, body: Range<usize>, model: &Model, out: &mut Vec<Seed>
         let mut push = |rule: &'static str, what: String| {
             out.push(Seed {
                 rule,
-                fn_idx,
+                file: file_idx,
                 line: t.line,
-                loop_line,
-                depth,
-                what,
+                func: Some(fn_idx),
+                message: format!("{what} inside the loop at line {loop_line} (depth {depth})"),
             });
         };
 
@@ -528,12 +324,19 @@ fn seed_fn(fn_idx: usize, body: Range<usize>, model: &Model, out: &mut Vec<Seed>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run, Outcome};
     use crate::extract::{build_model, lex_file};
+    use std::collections::BTreeMap;
 
-    fn outcome(src: &str, roots: &[&str]) -> CostOutcome {
+    fn outcome(src: &str, roots: &'static [&'static str]) -> Outcome {
         let file = lex_file("src/lib.rs", "demo", src);
-        let model = build_model(vec![file], &BTreeMap::new());
-        run(&model, roots)
+        run(
+            &build_model(vec![file], &BTreeMap::new()),
+            &[Pass {
+                roots: Some((roots, Relation::Full)),
+                ..PASS
+            }],
+        )
     }
 
     #[test]
@@ -563,7 +366,7 @@ mod tests {
     #[test]
     fn acceptance_lands_in_the_ledger() {
         let o = outcome(
-            "fn root() {\n    for i in 0..4 {\n        // cm-lint: hot-cost-accepted(bounded by region count)\n        let v: Vec<u32> = Vec::new();\n        drop((i, v));\n    }\n}\n",
+            "fn root() {\n    for i in 0..4 {\n        // cm-lint: allow(P1_HEAP_ALLOC, bounded by region count)\n        let v: Vec<u32> = Vec::new();\n        drop((i, v));\n    }\n}\n",
             &["root"],
         );
         assert!(o.findings.is_empty(), "{:?}", o.findings);
@@ -600,9 +403,9 @@ mod tests {
     #[test]
     fn stale_acceptance_is_a_finding() {
         let o = outcome(
-            "fn root() {\n    // cm-lint: hot-cost-accepted(nothing here)\n    let x = 1;\n    drop(x);\n}\n",
+            "fn root() {\n    // cm-lint: allow(P1_HEAP_ALLOC, nothing here)\n    let x = 1;\n    drop(x);\n}\n",
             &["root"],
         );
-        assert!(o.findings.iter().any(|f| f.rule == "C1_STALE_ACCEPTANCE"));
+        assert!(o.findings.iter().any(|f| f.rule == "A1_STALE_ANNOTATION"));
     }
 }

@@ -10,15 +10,16 @@
 //!   any), body token range and declaration line;
 //! * **call references** — every identifier in a body that can denote a
 //!   function: `name(…)` calls, `recv.name(…)` method calls, and
-//!   `Path::name` references passed as values (callbacks).
+//!   `Path::name` references passed as values (callbacks);
+//! * the **call graph**, built once from those references as three
+//!   relations ([`Relation`]) that the passes choose between.
 //!
 //! Resolution is deliberately an over-approximation: a reference `name`
 //! points at *every* workspace `fn name` visible from the caller's crate
-//! (its own crate plus its transitive path dependencies). The taint pass
-//! inherits that over-approximation, which is the safe direction for a
-//! determinism lint — a false edge can only make the lint stricter.
+//! (its own crate plus its transitive path dependencies). A false edge can
+//! only make a lint stricter, never blind.
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{code, lex, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -30,7 +31,7 @@ pub struct FileModel {
     pub crate_name: String,
     /// The token stream.
     pub toks: Vec<Tok>,
-    /// Raw source lines, for excerpting and line-keyed allowlists.
+    /// Raw source lines, for excerpting in finding messages.
     pub lines: Vec<String>,
     /// `test_mask[i]` — token `i` is inside a `#[cfg(test)]` item.
     pub test_mask: Vec<bool>,
@@ -62,8 +63,8 @@ impl FnItem {
     }
 }
 
-/// The lexed workspace: files, functions and the name index the taint
-/// pass resolves call references through.
+/// The lexed workspace: files, functions, the name index call references
+/// resolve through, and the call graph.
 pub struct Model {
     /// Every scanned file.
     pub files: Vec<FileModel>,
@@ -74,6 +75,48 @@ pub struct Model {
     /// crate → the crates it may call into (itself + transitive path
     /// dependencies).
     pub visible: BTreeMap<String, BTreeSet<String>>,
+    /// Caller → sorted callees, one adjacency list per [`Relation`].
+    edges: [Vec<Vec<usize>>; 3],
+}
+
+/// The three call-graph relations, by decreasing recall. Self-edges are
+/// kept (they never change reachability, and direct recursion is what S5
+/// looks for); test fns have no edges.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Relation {
+    /// Bare-name over-approximation: a reference `name` reaches every
+    /// visible `fn name`. Right when seeds are rare, so over-reach is
+    /// cheap and a missed edge would be a missed finding.
+    Full,
+    /// Owner- and crate-aware: `Owner::name` reaches only fns of that
+    /// owner, `.name(…)` only fns of the caller's crate, free calls keep
+    /// bare-name resolution — so `Vec::new` does not alias every workspace
+    /// `new` where seeds (indexing, arithmetic) occur in almost every fn.
+    Precise,
+    /// [`Relation::Precise`] minus method calls, for cycle detection: a
+    /// `.len()` call inside a fn named `len` is not recursion. Recursion
+    /// through method dispatch is a documented blind spot.
+    Cycle,
+}
+
+/// How a call site names its callee, which decides how precisely it
+/// resolves.
+#[derive(Debug, PartialEq, Eq)]
+pub enum CallKind {
+    /// `name(…)` — a free (or locally imported) fn.
+    Free,
+    /// `Owner::name(…)` or the path value `Owner::name`.
+    Qualified(String),
+    /// `.name(…)` — method dispatch on a receiver of unknown type.
+    Method,
+}
+
+/// One call reference inside a fn body.
+pub struct CallRef {
+    /// How the callee is named.
+    pub kind: CallKind,
+    /// The callee's bare name.
+    pub name: String,
 }
 
 /// Builds a [`FileModel`] from source text.
@@ -116,15 +159,77 @@ pub fn build_model(mut files: Vec<FileModel>, deps: &BTreeMap<String, Vec<String
         }
         visible.insert(krate.clone(), seen);
     }
-    Model {
+    let mut model = Model {
         files,
         fns,
         by_name,
         visible,
-    }
+        edges: Default::default(),
+    };
+    model.edges = model.call_graph();
+    model
 }
 
 impl Model {
+    /// The production fns outside `vendor/` — the ones the rooted passes
+    /// seed. Vendored stand-ins join the call graph but are not seeded:
+    /// their sites are charged to the workspace call site reaching them.
+    pub fn seeded_fns(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.fns.len()).filter(|&i| {
+            let f = &self.fns[i];
+            !f.in_test && !self.files[f.file].path.starts_with("vendor/")
+        })
+    }
+
+    /// The adjacency lists of one call-graph relation.
+    pub fn edges(&self, relation: Relation) -> &[Vec<usize>] {
+        &self.edges[relation as usize]
+    }
+
+    /// Scans every production fn body once and resolves each call
+    /// reference into all three relations.
+    fn call_graph(&self) -> [Vec<Vec<usize>>; 3] {
+        let mut edges: [Vec<Vec<usize>>; 3] =
+            std::array::from_fn(|_| vec![Vec::new(); self.fns.len()]);
+        for (i, f) in self.fns.iter().enumerate() {
+            if f.in_test {
+                continue;
+            }
+            let krate = &self.files[f.file].crate_name;
+            for call in call_refs(&self.files[f.file].toks, f.body.clone()) {
+                for j in self.resolve(krate, &call.name) {
+                    let (precise, cycle) = match &call.kind {
+                        CallKind::Free => (true, true),
+                        CallKind::Qualified(owner) => {
+                            let want = if owner == "Self" {
+                                f.owner.as_deref()
+                            } else {
+                                Some(owner.as_str())
+                            };
+                            let same = self.fns[j].owner.as_deref() == want;
+                            (same, same)
+                        }
+                        CallKind::Method => {
+                            (self.files[self.fns[j].file].crate_name == *krate, false)
+                        }
+                    };
+                    edges[Relation::Full as usize][i].push(j);
+                    if precise {
+                        edges[Relation::Precise as usize][i].push(j);
+                    }
+                    if cycle {
+                        edges[Relation::Cycle as usize][i].push(j);
+                    }
+                }
+            }
+            for rel in &mut edges {
+                rel[i].sort_unstable();
+                rel[i].dedup();
+            }
+        }
+        edges
+    }
+
     /// All fn indices a reference to `name` from `caller_crate` may
     /// resolve to: workspace fns with that name, visible from the caller,
     /// excluding test items.
@@ -476,32 +581,41 @@ fn brace_balance(toks: &[Tok], open: usize, close: usize) -> bool {
     depth == 0
 }
 
-/// Call references inside `body`: identifiers immediately followed by `(`
-/// (calls), and identifiers immediately preceded by `::` (path values like
-/// `Type::method` passed as callbacks). Declaration names (`fn x`), macro
-/// invocations (`name!`) and field accesses are not references.
-pub fn call_refs(toks: &[Tok], body: Range<usize>) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let slice = &toks[body.clone()];
-    let code: Vec<usize> = (0..slice.len())
-        .filter(|&i| slice[i].kind != TokKind::Comment)
-        .collect();
+/// Call references inside `body`, in order: identifiers immediately
+/// followed by `(` (calls), and identifiers immediately preceded by `::`
+/// (path values like `Type::method` passed as callbacks). Declaration
+/// names (`fn x`), macro invocations (`name!`) and field accesses are not
+/// references.
+pub fn call_refs(toks: &[Tok], body: Range<usize>) -> Vec<CallRef> {
+    let code = code(toks, body);
+    let at = |ci: Option<usize>| ci.and_then(|c| code.get(c)).map(|&i| &toks[i]);
+    let mut out = Vec::new();
     for (ci, &i) in code.iter().enumerate() {
-        let t = &slice[i];
-        if t.kind != TokKind::Ident {
+        let t = &toks[i];
+        let (prev, next) = (at(ci.checked_sub(1)), at(Some(ci + 1)));
+        if t.kind != TokKind::Ident || prev.is_some_and(|p| p.is_ident("fn")) {
             continue;
         }
-        let prev = ci.checked_sub(1).map(|p| &slice[code[p]]);
-        if prev.is_some_and(|p| p.is_ident("fn")) {
-            continue; // a declaration, not a reference
-        }
-        let next = code.get(ci + 1).map(|&n| &slice[n]);
+        let after_path = prev.is_some_and(|p| p.kind == TokKind::PathSep);
         let is_call = next.is_some_and(|n| n.is_punct('('));
-        let is_path_value = prev.is_some_and(|p| p.kind == TokKind::PathSep)
-            && !next.is_some_and(|n| n.is_punct('!'));
-        if is_call || is_path_value {
-            out.insert(t.text.clone());
+        if !is_call && (!after_path || next.is_some_and(|n| n.is_punct('!'))) {
+            continue;
         }
+        let kind = if prev.is_some_and(|p| p.is_punct('.')) {
+            CallKind::Method
+        } else if after_path {
+            // `<T as Trait>::name` has no nameable owner: bare-name.
+            match at(ci.checked_sub(2)).filter(|o| o.kind == TokKind::Ident) {
+                Some(owner) => CallKind::Qualified(owner.text.clone()),
+                None => CallKind::Free,
+            }
+        } else {
+            CallKind::Free
+        };
+        out.push(CallRef {
+            kind,
+            name: t.text.clone(),
+        });
     }
     out
 }
@@ -583,12 +697,19 @@ mod tests {
     #[test]
     fn call_refs_capture_calls_and_path_values() {
         let m = model_of("fn a() { b(); items.map(Type::c); let x = d; vec![e]; m!(); }\n");
-        let refs = call_refs(&m.files[0].toks, m.fns[0].body.clone());
-        assert!(refs.contains("b"));
-        assert!(refs.contains("c"), "path value Type::c is a reference");
-        assert!(refs.contains("map"), "method names over-approximate");
-        assert!(!refs.contains("d"), "bare ident is not a reference");
-        assert!(!refs.contains("m"), "macro invocation is not a fn call");
+        let refs: BTreeMap<String, CallKind> = call_refs(&m.files[0].toks, m.fns[0].body.clone())
+            .into_iter()
+            .map(|c| (c.name, c.kind))
+            .collect();
+        assert_eq!(refs.get("b"), Some(&CallKind::Free));
+        assert_eq!(
+            refs.get("c"),
+            Some(&CallKind::Qualified("Type".into())),
+            "path value Type::c is a reference"
+        );
+        assert_eq!(refs.get("map"), Some(&CallKind::Method));
+        assert!(!refs.contains_key("d"), "bare ident is not a reference");
+        assert!(!refs.contains_key("m"), "macro invocation is not a fn call");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A small, dependency-free Rust lexer.
 //!
 //! The lint rules must never fire on text inside a string literal or a
-//! comment — the regex-based lintwall needed `format!`-assembled needles
-//! to avoid flagging itself. This lexer produces a token stream that gets
+//! comment — a regex-based scanner needs `format!`-assembled needles to
+//! avoid flagging itself. This lexer produces a token stream that gets
 //! the hard cases right:
 //!
 //! * raw strings with any number of hashes (`r#"…"#`, `br##"…"##`);
@@ -13,8 +13,10 @@
 //!   need adjacency bookkeeping.
 //!
 //! Comments are kept as tokens (with their line numbers) because the
-//! annotation grammar — `// cm-lint: nondet-quarantined(<reason>)` and the
-//! lintwall's `// lintwall:allow(…)` escapes — lives in comments.
+//! annotation grammar, `// cm-lint: allow(<RULE>, <reason>)`, lives in
+//! comments.
+
+use std::ops::Range;
 
 /// What one token is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,6 +61,14 @@ impl Tok {
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == 1 && self.text.as_bytes()[0] == c as u8
     }
+}
+
+/// Indices of the non-comment tokens in `toks[range]` — the stream every
+/// rule matches on (comments stay in `toks` for the annotation layer).
+pub fn code(toks: &[Tok], range: Range<usize>) -> Vec<usize> {
+    range
+        .filter(|&i| toks[i].kind != TokKind::Comment)
+        .collect()
 }
 
 fn is_ident_start(c: u8) -> bool {

@@ -1,46 +1,32 @@
 #![deny(missing_docs)]
 
-//! `cm-lint` — a dependency-free determinism taint analyzer for the
-//! golden-digest path, plus the token-based lintwall rules.
+//! `cm-lint` — a dependency-free static analyzer for the workspace: one
+//! engine, four families of rules, one annotation grammar and one ledger.
 //!
-//! The workspace's determinism contract (DESIGN.md §10–§11) says the §4.1
-//! border walk, VPI detection, fault replay and the versioned
-//! `AtlasSummary` digest are byte-identical at any `probe_workers` count.
-//! Before this crate that contract was enforced only *dynamically*
-//! (obs_invariance proptests, golden regression, audit rules F1/F2/O1):
-//! a freshly introduced `Instant::now()` or `HashMap` iteration on the
-//! digest path would only surface when a golden flaked in CI. `cm-lint`
-//! rejects such code statically, before it runs.
-//!
-//! Three layers, all dependency-free (no `syn`, nothing vendored):
+//! The workspace's contracts are enforced *dynamically* elsewhere (golden
+//! digests, the hostile-input suites, the perf gate); `cm-lint` rejects
+//! code that breaks them statically, before it runs. Layers, all
+//! dependency-free (no `syn`, nothing vendored):
 //!
 //! * [`lexer`] — a small Rust lexer that gets raw strings, nested block
 //!   comments, lifetimes-vs-chars and raw identifiers right;
 //! * [`extract`] — fn items, `cfg(test)` masks and an over-approximated
-//!   name-based call graph, filtered by crate-dependency visibility;
-//! * [`taint`] — rules D1–D6 seed nondeterminism sources and propagate
-//!   along the call graph from the golden-digest surface
-//!   ([`taint::DEFAULT_ROOTS`]), with `// cm-lint: nondet-quarantined(…)`
-//!   annotations as audited escapes; [`lintwall`] re-implements the L1–L4
-//!   hygiene rules on the same token stream;
-//! * [`cost`] — rules P1–P6 seed per-iteration cost sites (allocation,
-//!   clones, string building, hash churn, redundant stablehash draws)
-//!   inside loop bodies and propagate reachability from the declared
-//!   hot roots ([`cost::HOT_ROOTS`]), with
-//!   `// cm-lint: hot-cost-accepted(…)` annotations as audited waivers;
-//! * [`safety`] — rules S1–S5 seed panic-capable sites (unwrap/expect,
-//!   panic macros, unchecked indexing, overflow-prone arithmetic,
-//!   untrusted-count allocation, unbounded recursion) and propagate from
-//!   the serving surface ([`safety::SERVE_ROOTS`]) and its
-//!   untrusted-input subset ([`safety::UNTRUSTED_ROOTS`]), with
-//!   `// cm-lint: panic-safe(…)` annotations as audited waivers.
+//!   name-based call graph (three relations), filtered by
+//!   crate-dependency visibility;
+//! * [`engine`] — the one core every pass runs on: root resolution,
+//!   reachability with witness traces, `// cm-lint: allow(<RULE>,
+//!   <reason>)` annotations, the ledger and annotation hygiene;
+//! * the passes, each a [`engine::Pass`] value: [`taint`] (D1–D6,
+//!   nondeterminism reaching the golden digest), [`cost`] (P1–P6,
+//!   per-iteration cost on hot paths), [`safety`] (S1–S5, panics and
+//!   untrusted-input taint on the serving surface) and [`lintwall`]
+//!   (L1–L3, rootless source hygiene).
 //!
-//! The `cm-lint` binary runs any subset of the three passes over the
-//! workspace (`--pass taint|cost|safety|all`) and emits deterministic
-//! text or JSON ([`report`]); the `cm-audit` `lintwall` binary wraps
-//! [`lintwall::run`].
+//! The `cm-lint` binary runs every pass over the workspace and emits
+//! deterministic text or JSON ([`report`]).
 
 pub mod cost;
+pub mod engine;
 pub mod extract;
 pub mod lexer;
 pub mod lintwall;
@@ -49,7 +35,17 @@ pub mod safety;
 pub mod taint;
 pub mod ws;
 
+use engine::{Outcome, Pass};
 use std::collections::BTreeMap;
+
+/// Every pass, in report order; the `cm-lint` binary runs them all.
+pub const PASSES: &[Pass] = &[
+    taint::PASS,
+    cost::PASS,
+    safety::PANIC,
+    safety::UNTRUSTED,
+    lintwall::PASS,
+];
 
 /// One in-memory source file for [`analyze`] — lets fixture tests inject
 /// forbidden constructs without touching the filesystem.
@@ -62,52 +58,19 @@ pub struct SourceFile {
     pub src: String,
 }
 
-/// Runs the full taint pass over in-memory sources: lexes, builds the
-/// model (with `deps` as the crate dependency graph) and applies `roots`.
+/// Runs `passes` over in-memory sources: lexes, builds the model (with
+/// `deps` as the crate dependency graph) and hands it to the engine.
 /// Vendor files (`vendor/…` paths) contribute call-graph nodes but are
-/// never seeded — their nondeterminism is charged to the workspace call
-/// site instead.
+/// never seeded by the rooted passes — their sites are charged to the
+/// workspace call site instead.
 pub fn analyze(
     sources: &[SourceFile],
     deps: &BTreeMap<String, Vec<String>>,
-    roots: &[&str],
-) -> taint::TaintOutcome {
+    passes: &[Pass],
+) -> Outcome {
     let files = sources
         .iter()
         .map(|s| extract::lex_file(&s.path, &s.crate_name, &s.src))
         .collect();
-    let model = extract::build_model(files, deps);
-    taint::run(&model, roots)
-}
-
-/// Runs the hot-path cost pass over in-memory sources, mirroring
-/// [`analyze`]: lexes, builds the model and applies the hot `roots`.
-pub fn analyze_cost(
-    sources: &[SourceFile],
-    deps: &BTreeMap<String, Vec<String>>,
-    roots: &[&str],
-) -> cost::CostOutcome {
-    let files = sources
-        .iter()
-        .map(|s| extract::lex_file(&s.path, &s.crate_name, &s.src))
-        .collect();
-    let model = extract::build_model(files, deps);
-    cost::run(&model, roots)
-}
-
-/// Runs the serving-safety pass over in-memory sources, mirroring
-/// [`analyze`]: `serve_roots` drives S1 panic-freedom, `untrusted_roots`
-/// scopes the taint rules S2–S5.
-pub fn analyze_safety(
-    sources: &[SourceFile],
-    deps: &BTreeMap<String, Vec<String>>,
-    serve_roots: &[&str],
-    untrusted_roots: &[&str],
-) -> safety::SafetyOutcome {
-    let files = sources
-        .iter()
-        .map(|s| extract::lex_file(&s.path, &s.crate_name, &s.src))
-        .collect();
-    let model = extract::build_model(files, deps);
-    safety::run(&model, serve_roots, untrusted_roots)
+    engine::run(&extract::build_model(files, deps), passes)
 }

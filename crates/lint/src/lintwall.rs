@@ -1,254 +1,134 @@
-//! Token-based re-implementation of the lintwall rules L1–L4.
+//! The lintwall rules L1–L3: source hygiene with no root set, so every
+//! non-test line of every workspace file is in scope.
 //!
-//! The original lintwall matched regex-ish needles against raw lines,
-//! which forced it to assemble its own needles with `format!` so it would
-//! not flag itself, and silently mis-scoped files whose unit tests do not
-//! trail the file (it treated everything after the first `#[cfg(test)]`
-//! as test code). This version works on the lexer's token stream:
-//!
-//! * **L1** — `.unwrap()` / `.expect(` in non-test code. String literals
-//!   and comments can no longer trigger it; test scoping uses the real
-//!   `cfg(test)` item mask. Escapes: `// lintwall:allow(unwrap)` on the
-//!   line, or a `path<TAB>trimmed line` entry in
-//!   `crates/audit/lintwall.allow`.
+//! * **L1** — `.unwrap()` / `.expect(` in non-test code, one seed per
+//!   line. String literals and comments cannot trigger it, and test
+//!   scoping uses the real `cfg(test)` item mask.
 //! * **L2** — `for … in ….keys()/.values() {` in report/output paths
-//!   (`report.rs`, `src/bin/`). Escape: `// lintwall:allow(map-iter)`.
+//!   (`report.rs`, `src/bin/`), where HashMap order would leak straight
+//!   into rendered bytes.
 //! * **L3** — every crate root (`src/lib.rs`) carries the token sequence
-//!   `#![deny(missing_docs)]` — a doc string merely *mentioning* the
-//!   attribute no longer satisfies the rule.
-//! * **L4** — allowlist entries whose `(path, trimmed line)` key no longer
-//!   matches any live non-test source line. Findings carry the exact
-//!   1-based line number of the stale entry *in the allow file*, sorted,
-//!   so fixing the file is mechanical.
+//!   `#![deny(missing_docs)]`; a doc string merely *mentioning* the
+//!   attribute does not satisfy the rule.
+//!
+//! A reviewed survivor carries a `// cm-lint: allow(<RULE>, <reason>)`
+//! annotation like any other seed ([`crate::engine`]).
 
-use crate::extract::FileModel;
-use crate::lexer::TokKind;
-use crate::report::Finding;
-use std::collections::BTreeSet;
+use crate::engine::{Pass, Seed};
+use crate::extract::{FileModel, Model};
+use crate::lexer::{code, Tok, TokKind};
 
-/// One parsed `lintwall.allow` entry.
-pub struct AllowEntry {
-    /// 1-based line number in the allow file itself (for L4 reports).
-    pub file_line: u32,
-    /// Repo-relative source path the entry applies to.
-    pub path: String,
-    /// The trimmed source line being allowed.
-    pub text: String,
-}
+/// The rootless hygiene pass.
+pub const PASS: Pass = Pass {
+    name: "lintwall",
+    rules: &["L1_UNWRAP", "L2_MAP_ITER", "L3_MISSING_DOCS"],
+    roots: None,
+    seed,
+    advice: "",
+};
 
-/// Parses the allow file: `path<TAB>trimmed line` per entry, `#` comments
-/// and blank lines skipped.
-pub fn parse_allow(text: &str) -> Vec<AllowEntry> {
+fn seed(model: &Model, _: &[bool]) -> Vec<Seed> {
     let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+    for (fi, file) in model.files.iter().enumerate() {
+        let mut push = |rule: &'static str, line: u32, message: String| {
+            out.push(Seed {
+                rule,
+                file: fi,
+                line,
+                func: None,
+                message,
+            })
+        };
+        let toks = &file.toks;
+        let code = code(toks, 0..toks.len());
+        let in_scope = file.path.ends_with("report.rs") || file.path.contains("/src/bin/");
+        let mut last_l1 = 0;
+        for (ci, &i) in code.iter().enumerate() {
+            let t = &toks[i];
+            let method_call = ci >= 1
+                && toks[code[ci - 1]].is_punct('.')
+                && code.get(ci + 1).is_some_and(|&n| toks[n].is_punct('('));
+            if file.test_mask[i] || !method_call {
+                continue;
+            }
+            if (t.is_ident("unwrap") || t.is_ident("expect")) && t.line != last_l1 {
+                last_l1 = t.line;
+                push(
+                    "L1_UNWRAP",
+                    t.line,
+                    format!(
+                        "`.{}()` outside test code: {}",
+                        t.text,
+                        trimmed(file, t.line)
+                    ),
+                );
+            }
+            if in_scope
+                && (t.is_ident("keys") || t.is_ident("values"))
+                && in_for_head(toks, &code, ci)
+            {
+                push(
+                    "L2_MAP_ITER",
+                    t.line,
+                    format!(
+                        "map-order iteration in an output path: {}",
+                        trimmed(file, t.line)
+                    ),
+                );
+            }
         }
-        if let Some((path, rest)) = line.split_once('\t') {
-            out.push(AllowEntry {
-                file_line: idx as u32 + 1,
-                path: path.to_string(),
-                text: rest.to_string(),
-            });
+        let want = ["#", "!", "[", "deny", "(", "missing_docs", ")", "]"];
+        let docs_gate = |w: &[usize]| {
+            w.iter().zip(want).all(|(&i, s)| {
+                matches!(toks[i].kind, TokKind::Ident | TokKind::Punct) && toks[i].text == s
+            })
+        };
+        if file.path.ends_with("src/lib.rs") && !code.windows(want.len()).any(docs_gate) {
+            push(
+                "L3_MISSING_DOCS",
+                1,
+                "crate root lacks #![deny(missing_docs)]".into(),
+            );
         }
     }
     out
 }
 
-/// Runs L1–L4 over the lexed files. `allow_path` is the repo-relative path
-/// findings against the allow file itself are reported under.
-pub fn run(files: &[FileModel], allow: &[AllowEntry], allow_path: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let allow_keys: BTreeSet<(&str, &str)> = allow
-        .iter()
-        .map(|e| (e.path.as_str(), e.text.as_str()))
-        .collect();
-    // Live non-test (path, trimmed line) keys, for L4.
-    let mut live: BTreeSet<(&str, &str)> = BTreeSet::new();
-
-    for file in files {
-        check_l1(file, &allow_keys, &mut findings);
-        check_l2(file, &mut findings);
-        check_l3(file, &mut findings);
-        for (i, t) in file.toks.iter().enumerate() {
-            if !file.test_mask.get(i).copied().unwrap_or(false) {
-                if let Some(line) = file.lines.get(t.line as usize - 1) {
-                    live.insert((file.path.as_str(), line.trim()));
-                }
-            }
+/// Scans back (bounded, without crossing a statement boundary) for the
+/// `for` whose head holds code index `ci`.
+fn in_for_head(toks: &[Tok], code: &[usize], ci: usize) -> bool {
+    for &k in code[ci.saturating_sub(32)..ci].iter().rev() {
+        let p = &toks[k];
+        if p.is_ident("for") {
+            return true;
+        }
+        if p.is_punct(';') || p.is_punct('{') || p.is_punct('}') {
+            return false;
         }
     }
-
-    // L4: stale allow entries, keyed by their own line number in the file.
-    for e in allow {
-        if !live.contains(&(e.path.as_str(), e.text.as_str())) {
-            findings.push(Finding {
-                rule: "L4_STALE_ALLOW".into(),
-                path: allow_path.to_string(),
-                line: e.file_line,
-                symbol: String::new(),
-                message: format!(
-                    "allowlist entry no longer matches any non-test line: {}\t{}",
-                    e.path, e.text
-                ),
-                trace: Vec::new(),
-            });
-        }
-    }
-
-    findings.sort_by(|a, b| {
-        (&a.rule, &a.path, a.line, &a.message).cmp(&(&b.rule, &b.path, b.line, &b.message))
-    });
-    findings
+    false
 }
 
-/// True when a comment token on `line` contains `needle` (inline escapes).
-fn line_escape(file: &FileModel, line: u32, needle: &str) -> bool {
-    file.toks
-        .iter()
-        .any(|t| t.kind == TokKind::Comment && t.line == line && t.text.contains(needle))
-}
-
-fn trimmed_line(file: &FileModel, line: u32) -> &str {
-    file.lines
-        .get(line as usize - 1)
-        .map(|l| l.trim())
-        .unwrap_or("")
-}
-
-/// L1: `.unwrap()` / `.expect(` in non-test code.
-fn check_l1(file: &FileModel, allow_keys: &BTreeSet<(&str, &str)>, findings: &mut Vec<Finding>) {
-    let toks = &file.toks;
-    let code: Vec<usize> = (0..toks.len())
-        .filter(|&i| toks[i].kind != TokKind::Comment)
-        .collect();
-    let mut flagged_lines: BTreeSet<u32> = BTreeSet::new();
-    for (ci, &i) in code.iter().enumerate() {
-        let t = &toks[i];
-        if file.test_mask.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        if !(t.is_ident("unwrap") || t.is_ident("expect")) {
-            continue;
-        }
-        let prev_dot = ci >= 1 && toks[code[ci - 1]].is_punct('.');
-        let next_paren = code.get(ci + 1).is_some_and(|&n| toks[n].is_punct('('));
-        if !(prev_dot && next_paren) {
-            continue;
-        }
-        if line_escape(file, t.line, "lintwall:allow(unwrap)") {
-            continue;
-        }
-        let trimmed = trimmed_line(file, t.line);
-        if allow_keys.contains(&(file.path.as_str(), trimmed)) {
-            continue;
-        }
-        if flagged_lines.insert(t.line) {
-            findings.push(Finding {
-                rule: "L1_UNWRAP".into(),
-                path: file.path.clone(),
-                line: t.line,
-                symbol: String::new(),
-                message: trimmed.to_string(),
-                trace: Vec::new(),
-            });
-        }
-    }
-}
-
-/// L2: for-loop iteration over `.keys()`/`.values()` in report/output
-/// paths, where HashMap order would leak straight into rendered bytes.
-fn check_l2(file: &FileModel, findings: &mut Vec<Finding>) {
-    let in_scope = file.path.ends_with("report.rs") || file.path.contains("/src/bin/");
-    if !in_scope {
-        return;
-    }
-    let toks = &file.toks;
-    let code: Vec<usize> = (0..toks.len())
-        .filter(|&i| toks[i].kind != TokKind::Comment)
-        .collect();
-    for (ci, &i) in code.iter().enumerate() {
-        let t = &toks[i];
-        if file.test_mask.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        if !(t.is_ident("keys") || t.is_ident("values")) {
-            continue;
-        }
-        let prev_dot = ci >= 1 && toks[code[ci - 1]].is_punct('.');
-        let next_paren = code.get(ci + 1).is_some_and(|&n| toks[n].is_punct('('));
-        if !(prev_dot && next_paren) {
-            continue;
-        }
-        // Only inside a for-loop head: scan back (bounded) for `for`
-        // without crossing a statement boundary.
-        let mut k = ci;
-        let mut in_for = false;
-        while k > 0 && ci - k < 32 {
-            k -= 1;
-            let p = &toks[code[k]];
-            if p.is_ident("for") {
-                in_for = true;
-                break;
-            }
-            if p.is_punct(';') || p.is_punct('{') || p.is_punct('}') {
-                break;
-            }
-        }
-        if !in_for || line_escape(file, t.line, "lintwall:allow(map-iter)") {
-            continue;
-        }
-        findings.push(Finding {
-            rule: "L2_MAP_ITER".into(),
-            path: file.path.clone(),
-            line: t.line,
-            symbol: String::new(),
-            message: trimmed_line(file, t.line).to_string(),
-            trace: Vec::new(),
-        });
-    }
-}
-
-/// L3: crate roots must carry `#![deny(missing_docs)]` as real tokens.
-fn check_l3(file: &FileModel, findings: &mut Vec<Finding>) {
-    if !file.path.ends_with("src/lib.rs") {
-        return;
-    }
-    let toks = &file.toks;
-    let code: Vec<usize> = (0..toks.len())
-        .filter(|&i| toks[i].kind != TokKind::Comment)
-        .collect();
-    let want = ["#", "!", "[", "deny", "(", "missing_docs", ")", "]"];
-    let found = code.windows(want.len()).any(|w| {
-        w.iter().zip(want.iter()).all(|(&i, &s)| {
-            let t = &toks[i];
-            match t.kind {
-                TokKind::Ident => t.text == s,
-                TokKind::Punct => s.len() == 1 && t.is_punct(s.as_bytes()[0] as char),
-                _ => false,
-            }
-        })
-    });
-    if !found {
-        findings.push(Finding {
-            rule: "L3_MISSING_DOCS".into(),
-            path: file.path.clone(),
-            line: 1,
-            symbol: String::new(),
-            message: "crate root lacks #![deny(missing_docs)]".into(),
-            trace: Vec::new(),
-        });
-    }
+fn trimmed(file: &FileModel, line: u32) -> &str {
+    file.lines.get(line as usize - 1).map_or("", |l| l.trim())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::lex_file;
+    use crate::engine::{run, Outcome};
+    use crate::extract::{build_model, lex_file};
+    use std::collections::BTreeMap;
 
-    fn one(path: &str, src: &str) -> Vec<FileModel> {
-        vec![lex_file(path, "demo", src)]
+    fn one(path: &str, src: &str) -> Outcome {
+        run(
+            &build_model(vec![lex_file(path, "demo", src)], &BTreeMap::new()),
+            &[PASS],
+        )
+    }
+
+    fn count(o: &Outcome, rule: &str) -> usize {
+        o.findings.iter().filter(|f| f.rule == rule).count()
     }
 
     #[test]
@@ -258,76 +138,61 @@ mod tests {
             fn b() { let s = \".unwrap()\"; } // .unwrap() in comment\n\
             #[cfg(test)]\n\
             mod tests { fn t() { y.unwrap(); } }\n";
-        let f = run(&one("crates/x/src/lib.rs", src), &[], "allow");
-        let l1: Vec<&Finding> = f.iter().filter(|f| f.rule == "L1_UNWRAP").collect();
-        assert_eq!(l1.len(), 1);
-        assert_eq!(l1[0].line, 1);
+        let o = one("crates/x/src/a.rs", src);
+        assert_eq!(count(&o, "L1_UNWRAP"), 1);
+        assert_eq!(o.findings[0].line, 1);
     }
 
     #[test]
-    fn l1_inline_escape_and_allowlist() {
-        let src = "fn a() { x.unwrap(); } // lintwall:allow(unwrap)\nfn b() { y.expect(\"m\"); }\n";
-        let allow = parse_allow("crates/x/src/lib.rs\tfn b() { y.expect(\"m\"); }\n");
-        let f = run(&one("crates/x/src/lib.rs", src), &allow, "allow");
-        assert!(
-            f.iter().all(|f| f.rule != "L1_UNWRAP"),
-            "{:?}",
-            f[0].message
-        );
+    fn l1_inline_allow_lands_in_the_ledger() {
+        let src = "fn a() { x.unwrap(); } // cm-lint: allow(L1_UNWRAP, guarded above)\n\
+                   // cm-lint: allow(L1_UNWRAP, CLI argument parsing)\n\
+                   fn b() { y.expect(\"m\"); }\n";
+        let o = one("crates/x/src/a.rs", src);
+        assert!(o.findings.is_empty(), "{:?}", o.findings);
+        let ledger: Vec<_> = o
+            .quarantined
+            .iter()
+            .map(|q| (q.line, q.reason.as_str()))
+            .collect();
+        assert_eq!(ledger, [(1, "guarded above"), (3, "CLI argument parsing")]);
     }
 
     #[test]
     fn l2_flags_for_loops_only_in_scope() {
         let src = "fn a(m: &M) { for k in m.keys() { use_it(k); } }\n";
-        let flagged = run(&one("crates/x/src/report.rs", src), &[], "allow");
-        assert_eq!(
-            flagged.iter().filter(|f| f.rule == "L2_MAP_ITER").count(),
-            1
-        );
-        let clean = run(&one("crates/x/src/other.rs", src), &[], "allow");
-        assert!(clean.iter().all(|f| f.rule != "L2_MAP_ITER"));
+        assert_eq!(count(&one("crates/x/src/report.rs", src), "L2_MAP_ITER"), 1);
+        assert_eq!(count(&one("crates/x/src/other.rs", src), "L2_MAP_ITER"), 0);
         // Not a for-loop: a collected-then-sorted chain.
         let src2 = "fn a(m: &M) { let mut v: Vec<_> = m.keys().collect(); v.sort(); }\n";
-        let chain = run(&one("crates/x/src/report.rs", src2), &[], "allow");
-        assert!(chain.iter().all(|f| f.rule != "L2_MAP_ITER"));
+        assert_eq!(
+            count(&one("crates/x/src/report.rs", src2), "L2_MAP_ITER"),
+            0
+        );
     }
 
     #[test]
     fn l3_requires_real_tokens_not_doc_mentions() {
         let src = "//! mentions #![deny(missing_docs)] in prose only\nfn a() {}\n";
-        let f = run(&one("crates/x/src/lib.rs", src), &[], "allow");
-        assert_eq!(f.iter().filter(|f| f.rule == "L3_MISSING_DOCS").count(), 1);
-        let src = "#![deny(missing_docs)]\n//! docs\n";
-        let f = run(&one("crates/x/src/lib.rs", src), &[], "allow");
-        assert!(f.iter().all(|f| f.rule != "L3_MISSING_DOCS"));
-    }
-
-    #[test]
-    fn l4_reports_exact_allow_file_lines_sorted() {
-        let allow_text = "\
-            # header comment\n\
-            crates/x/src/lib.rs\tlive.unwrap();\n\
-            crates/x/src/lib.rs\tgone.unwrap();\n\
-            crates/x/src/lib.rs\talso_gone.unwrap();\n";
-        let allow = parse_allow(allow_text);
-        let src = "fn a() {\n    live.unwrap();\n}\n";
-        let f = run(
-            &one("crates/x/src/lib.rs", src),
-            &allow,
-            "crates/audit/lintwall.allow",
+        assert_eq!(
+            count(&one("crates/x/src/lib.rs", src), "L3_MISSING_DOCS"),
+            1
         );
-        let l4: Vec<&Finding> = f.iter().filter(|f| f.rule == "L4_STALE_ALLOW").collect();
-        assert_eq!(l4.len(), 2);
-        assert_eq!((l4[0].line, l4[1].line), (3, 4), "allow-file line numbers");
-        assert!(l4[0].path.ends_with("lintwall.allow"));
+        let src = "#![deny(missing_docs)]\n//! docs\n";
+        assert_eq!(
+            count(&one("crates/x/src/lib.rs", src), "L3_MISSING_DOCS"),
+            0
+        );
     }
 
     #[test]
-    fn l4_entry_matching_only_test_code_is_stale() {
-        let allow = parse_allow("crates/x/src/lib.rs\tt.unwrap();\n");
-        let src =
-            "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        t.unwrap();\n    }\n}\n";
-        let f = run(&one("crates/x/src/lib.rs", src), &allow, "allow");
-        assert_eq!(f.iter().filter(|f| f.rule == "L4_STALE_ALLOW").count(), 1);
+    fn allow_over_test_code_only_is_stale() {
+        let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        \
+                   // cm-lint: allow(L1_UNWRAP, test code is out of scope)\n        \
+                   t.unwrap();\n    }\n}\n";
+        assert_eq!(
+            count(&one("crates/x/src/a.rs", src), "A1_STALE_ANNOTATION"),
+            1
+        );
     }
 }

@@ -1,102 +1,58 @@
-//! The `cm-lint` binary: runs the determinism taint pass (rules D1–D6
-//! plus annotation hygiene A1/A2 and root hygiene R1), the hot-path
-//! cost pass (rules P1–P6 plus acceptance hygiene C1/C2 and root
-//! hygiene R2) and/or the serving-safety pass (rules S1–S5 plus
-//! annotation hygiene S6/S7 and root hygiene R3) over the workspace.
+//! The `cm-lint` binary: runs every pass ([`cm_lint::PASSES`]) over the
+//! workspace and prints the findings, or the full report as JSON.
 //!
 //! ```text
-//! cargo run -p cm-lint                     # taint pass, text report
-//! cargo run -p cm-lint -- --pass cost      # cost pass only
-//! cargo run -p cm-lint -- --pass safety    # panic-freedom pass only
-//! cargo run -p cm-lint -- --pass all --format json  # CI artifact
+//! cargo run -p cm-lint                     # text report
+//! cargo run -p cm-lint -- --format json    # CI artifact
 //! ```
 //!
 //! Exit status: 0 clean, 1 on findings, 2 on usage errors.
 
-use cm_lint::taint::DEFAULT_ROOTS;
-use cm_lint::{cost, report, safety, taint, ws};
+use cm_lint::{engine, extract, report, ws, PASSES};
 
 fn main() {
-    let mut format = String::from("text");
-    let mut pass = String::from("taint");
+    let mut json = false;
     let mut args = std::env::args().skip(1);
-    let need = |flag: &str, args: &mut dyn Iterator<Item = String>| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        })
-    };
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--format" => format = need("--format", &mut args),
-            "--pass" => pass = need("--pass", &mut args),
-            "--help" | "-h" => {
-                println!("cm-lint [--pass taint|cost|safety|all] [--format text|json]");
+        match (arg.as_str(), args.next().as_deref()) {
+            ("--format", Some("text")) => json = false,
+            ("--format", Some("json")) => json = true,
+            ("--help" | "-h", _) => {
+                println!("cm-lint [--format text|json]");
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
+            (flag, value) => {
+                eprintln!("unknown argument: {flag} {}", value.unwrap_or_default());
+                eprintln!("usage: cm-lint [--format text|json]");
                 std::process::exit(2);
             }
         }
-    }
-    if format != "text" && format != "json" {
-        eprintln!("unknown format: {format} (expected text or json)");
-        std::process::exit(2);
-    }
-    if pass != "taint" && pass != "cost" && pass != "safety" && pass != "all" {
-        eprintln!("unknown pass: {pass} (expected taint, cost, safety or all)");
-        std::process::exit(2);
     }
 
     let root = ws::workspace_root(env!("CARGO_MANIFEST_DIR"));
     let workspace = ws::load(&root);
     let n_files = workspace.files.len();
-    let model = cm_lint::extract::build_model(workspace.files, &workspace.deps);
-    let n_fns = model.fns.len();
+    let model = extract::build_model(workspace.files, &workspace.deps);
+    let o = engine::run(&model, PASSES);
 
-    let mut findings = Vec::new();
-    let mut quarantined = Vec::new();
-    let mut dormant = 0usize;
-    if pass == "taint" || pass == "all" {
-        let o = taint::run(&model, DEFAULT_ROOTS);
-        findings.extend(o.findings);
-        quarantined.extend(o.quarantined);
-        dormant += o.dormant;
-    }
-    if pass == "cost" || pass == "all" {
-        let o = cost::run(&model, cost::HOT_ROOTS);
-        findings.extend(o.findings);
-        quarantined.extend(o.quarantined);
-        dormant += o.dormant;
-    }
-    if pass == "safety" || pass == "all" {
-        let o = safety::run(&model, safety::SERVE_ROOTS, safety::UNTRUSTED_ROOTS);
-        findings.extend(o.findings);
-        quarantined.extend(o.quarantined);
-        dormant += o.dormant;
-    }
-
-    if format == "json" {
-        print!(
-            "{}",
-            report::render_json(&pass, &findings, &quarantined, dormant)
-        );
+    if json {
+        print!("{}", report::render_json(&o));
     } else {
-        for f in &findings {
+        for f in &o.findings {
             println!("{}", f.render_text());
         }
-        if findings.is_empty() {
+        if o.findings.is_empty() {
             println!(
-                "cm-lint clean ({pass}): {n_fns} fns across {n_files} files, \
-                 {} quarantined site(s), {} dormant seed(s)",
-                quarantined.len(),
-                dormant
+                "cm-lint clean: {} fns across {n_files} files, {} quarantined site(s), \
+                 {} dormant seed(s)",
+                model.fns.len(),
+                o.quarantined.len(),
+                o.dormant
             );
         }
     }
-    if !findings.is_empty() {
-        eprintln!("cm-lint: {} finding(s)", findings.len());
+    if !o.findings.is_empty() {
+        eprintln!("cm-lint: {} finding(s)", o.findings.len());
         std::process::exit(1);
     }
 }

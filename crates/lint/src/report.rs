@@ -5,7 +5,7 @@
 //! fixed order, strings escaped per RFC 8259. CI uploads the JSON as an
 //! artifact, so byte-stable output makes diffs between runs meaningful.
 
-use crate::taint::Quarantined;
+use crate::engine::{Outcome, HYGIENE_RULES};
 
 /// One lint finding.
 #[derive(Debug)]
@@ -21,8 +21,8 @@ pub struct Finding {
     pub symbol: String,
     /// Human-readable description.
     pub message: String,
-    /// Witness call chain from a digest-surface root to the seed, when
-    /// the finding came from taint propagation.
+    /// Witness call chain from a root of the pass to the seed, when the
+    /// pass has roots.
     pub trace: Vec<String>,
 }
 
@@ -81,43 +81,22 @@ fn finding_json(f: &Finding, indent: &str) -> String {
     )
 }
 
-/// Every rule id either pass can emit, in a fixed order. The rule-set
-/// hash in the JSON header digests this list, so CI artifacts from
-/// different commits are comparable only when the rule set matched.
-const RULE_SET: &[&str] = &[
-    "D1_WALL_CLOCK",
-    "D2_PARALLELISM",
-    "D3_UNSEEDED_RNG",
-    "D4_MAP_ORDER",
-    "D5_ENV_READ",
-    "D6_ADDR_HASH",
-    "A1_STALE_ANNOTATION",
-    "A2_MISSING_REASON",
-    "R1_MISSING_ROOT",
-    "P1_HEAP_ALLOC",
-    "P2_CLONE",
-    "P3_FORMAT",
-    "P4_HASH_BUILD",
-    "P5_HASH_REDRAW",
-    "P6_DYN_ITER",
-    "C1_STALE_ACCEPTANCE",
-    "C2_MISSING_REASON",
-    "R2_MISSING_HOT_ROOT",
-    "S1_PANIC_PATH",
-    "S2_UNCHECKED_INDEX",
-    "S3_UNCHECKED_ARITH",
-    "S4_UNTRUSTED_ALLOC",
-    "S5_UNBOUNDED_RECURSION",
-    "S6_STALE_ANNOTATION",
-    "S7_MISSING_REASON",
-    "R3_MISSING_SERVE_ROOT",
-];
+/// Every rule id a run can emit, in a fixed order: each pass's rules,
+/// then the engine's hygiene rules. The rule-set hash in the JSON header
+/// digests this list, so CI artifacts from different commits are
+/// comparable only when the rule set matched.
+pub fn rule_set() -> impl Iterator<Item = &'static str> {
+    crate::PASSES
+        .iter()
+        .flat_map(|p| p.rules.iter().copied())
+        .chain(HYGIENE_RULES.iter().copied())
+}
 
 /// FNV-1a (64-bit) over the canonical rule-id list — a dependency-free
 /// fingerprint of the rule set, stable across runs and platforms.
 pub fn rule_set_hash() -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for id in RULE_SET {
+    for id in rule_set() {
         for b in id.bytes().chain([b'\n']) {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -126,23 +105,25 @@ pub fn rule_set_hash() -> String {
     format!("{h:016x}")
 }
 
-/// Renders the full report as deterministic JSON: a header naming the
-/// tool version, rule-set hash and pass (so CI artifacts from different
-/// PRs are comparable), the findings, the quarantine ledger (every
-/// annotated exemption with its reason), and summary counts.
-pub fn render_json(
-    pass: &str,
-    findings: &[Finding],
-    quarantined: &[Quarantined],
-    dormant: usize,
-) -> String {
+/// Renders the full report of a run of every pass ([`crate::PASSES`]) as
+/// deterministic JSON: a header naming the tool version, rule-set hash and
+/// the passes (so CI artifacts from different commits are comparable), the
+/// findings, the quarantine ledger (every annotated exemption with its
+/// reason), and summary counts.
+pub fn render_json(o: &Outcome) -> String {
+    let mut names: Vec<String> = crate::PASSES
+        .iter()
+        .map(|p| format!("\"{}\"", p.name))
+        .collect();
+    names.dedup();
     let mut out = format!(
         "{{\n  \"tool\": \"cm-lint\",\n  \"version\": \"{}\",\n  \"rule_set_hash\": \"{}\",\n  \
-         \"pass\": \"{}\",\n  \"findings\": [\n",
+         \"passes\": [{}],\n  \"findings\": [\n",
         json_escape(env!("CARGO_PKG_VERSION")),
         rule_set_hash(),
-        json_escape(pass),
+        names.join(", "),
     );
+    let (findings, quarantined) = (&o.findings, &o.quarantined);
     let body = findings
         .iter()
         .map(|f| finding_json(f, "    "))
@@ -174,7 +155,7 @@ pub fn render_json(
         "  ],\n  \"counts\": {{\"findings\": {}, \"quarantined\": {}, \"dormant_seeds\": {}}}\n}}\n",
         findings.len(),
         quarantined.len(),
-        dormant,
+        o.dormant,
     ));
     out
 }
@@ -182,6 +163,14 @@ pub fn render_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn outcome(findings: Vec<Finding>, dormant: usize) -> Outcome {
+        Outcome {
+            findings,
+            quarantined: Vec::new(),
+            dormant,
+        }
+    }
 
     #[test]
     fn text_rendering_includes_trace() {
@@ -208,7 +197,7 @@ mod tests {
             message: "tab\there".into(),
             trace: Vec::new(),
         };
-        let s = render_json("taint", &[f], &[], 3);
+        let s = render_json(&outcome(vec![f], 3));
         assert!(s.contains("a\\\"b.rs"));
         assert!(s.contains("tab\\there"));
         assert!(s.contains("\"dormant_seeds\": 3"));
@@ -216,17 +205,17 @@ mod tests {
 
     #[test]
     fn empty_report_is_valid() {
-        let s = render_json("cost", &[], &[], 0);
+        let s = render_json(&outcome(Vec::new(), 0));
         assert!(s.contains("\"findings\": [\n  ]"));
         assert!(s.contains("\"findings\": 0"));
     }
 
     #[test]
     fn header_carries_version_pass_and_rule_set_hash() {
-        let s = render_json("all", &[], &[], 0);
+        let s = render_json(&outcome(Vec::new(), 0));
         assert!(s.contains("\"tool\": \"cm-lint\""));
         assert!(s.contains(&format!("\"version\": \"{}\"", env!("CARGO_PKG_VERSION"))));
-        assert!(s.contains("\"pass\": \"all\""));
+        assert!(s.contains("\"passes\": [\"taint\", \"cost\", \"safety\", \"lintwall\"]"));
         assert!(s.contains(&format!("\"rule_set_hash\": \"{}\"", rule_set_hash())));
         // The hash is a stable 16-hex-digit fingerprint.
         assert_eq!(rule_set_hash().len(), 16);

@@ -27,26 +27,22 @@
 //!    bytes before any allocation); S5 flags every fn on a call-graph
 //!    cycle — the hand-rolled recursive-descent parser — since untrusted
 //!    nesting depth is untrusted stack depth.
-//! 2. **propagate** along the call graph. S1 uses the same bare-name
-//!    over-approximation as the D/P passes (panic seeds are rare, so
-//!    over-reach is cheap); S2–S5 use precision-tuned edges — qualified
-//!    calls resolve only to the named owner, method calls only within
-//!    the caller's crate — because indexing seeds occur everywhere and
-//!    a `Vec::new` resolving to every workspace `new` would taint the
-//!    world. Two root sets: [`SERVE_ROOTS`] (the snapshot decoder,
-//!    the engine query entry points, `Json::parse`, `Pipeline::run`)
-//!    drives S1 reachability; its subset [`UNTRUSTED_ROOTS`] (everything
-//!    but `Pipeline::run`, whose inputs are workspace-generated) scopes
-//!    the taint rules S2–S5.
+//! 2. **propagate** along the call graph. S1 walks the bare-name
+//!    relation (panic seeds are rare, so over-reach is cheap); S2–S5 walk
+//!    the precise one ([`Relation::Precise`]), because indexing seeds occur
+//!    everywhere and a `Vec::new` resolving to every workspace `new` would
+//!    taint the world. So the rules form two passes with two root sets:
+//!    [`PANIC`] from [`SERVE_ROOTS`] (the snapshot decoder, the engine
+//!    query entry points, `Json::parse`, the tracefile reader,
+//!    `Pipeline::run`), and [`UNTRUSTED`] from its subset
+//!    [`UNTRUSTED_ROOTS`] (everything but `Pipeline::run`, whose inputs
+//!    are workspace-generated).
 //! 3. **error** with a witness call chain unless the site carries a
-//!    `// cm-lint: panic-safe(<reason>)` annotation on its own or the
-//!    preceding line.
+//!    `// cm-lint: allow(<RULE>, <reason>)` annotation ([`crate::engine`])
+//!    on its own or the preceding line.
 //!
-//! The ledger mirrors the D/P design: annotations must carry a reason
-//! (`S7`), and an annotation suppressing nothing is itself a finding
-//! (`S6`), so panic-safety waivers cannot rot. S1 seeds no serve root
-//! reaches are counted *dormant* (cold-path panics are lintwall's
-//! business, not this pass's).
+//! S1 seeds no serve root reaches are counted *dormant*; outside the serve
+//! cone, L1 still flags every `unwrap`/`expect`.
 //!
 //! Known approximations, all in the strict-or-documented direction:
 //! pure-literal indices (`w[0]`) are exempt (overwhelmingly fixed-size
@@ -55,16 +51,13 @@
 //! deliberately not an S1 seed (an assert is an explicit guard, and the
 //! codebase's hot-path asserts are `debug_assert!`, stripped in release).
 
-use crate::extract::{call_refs, FileModel, Model};
-use crate::lexer::{Tok, TokKind};
-use crate::report::Finding;
-use crate::taint::Quarantined;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::ops::Range;
+use crate::engine::{Pass, Seed};
+use crate::extract::{Model, Relation};
+use crate::lexer::{code, Tok, TokKind};
+use std::collections::BTreeSet;
 
 /// The serving-surface roots: functions whose transitive callees must be
-/// panic-free. `Owner::name` pins the impl type; a bare name matches any
-/// owner.
+/// panic-free.
 pub const SERVE_ROOTS: &[&str] = &[
     "AtlasSnapshot::decode",
     "AtlasSnapshot::load",
@@ -72,14 +65,13 @@ pub const SERVE_ROOTS: &[&str] = &[
     "Engine::longest_prefix",
     "Engine::neighbors",
     "Json::parse",
+    "read_traces",
     "Pipeline::run",
 ];
 
 /// The untrusted-input roots — the subset of [`SERVE_ROOTS`] whose
 /// arguments an attacker controls byte-for-byte (snapshot files, query
-/// addresses, JSON artifacts). The taint rules S2–S5 are scoped to the
-/// call-graph cone of these roots; `Pipeline::run` is excluded because
-/// its inputs are workspace-generated topologies, not wire bytes.
+/// addresses, JSON artifacts, externally collected tracefiles).
 pub const UNTRUSTED_ROOTS: &[&str] = &[
     "AtlasSnapshot::decode",
     "AtlasSnapshot::load",
@@ -87,10 +79,40 @@ pub const UNTRUSTED_ROOTS: &[&str] = &[
     "Engine::longest_prefix",
     "Engine::neighbors",
     "Json::parse",
+    "read_traces",
 ];
 
-/// The annotation marker the safety pass looks for in comments.
-pub const ANNOTATION: &str = "cm-lint: panic-safe";
+/// S1: panic-capable calls and macros the serving surface reaches.
+///
+/// [`PANIC`] and [`UNTRUSTED`] share the pass name `safety`, and the
+/// engine keys unresolved roots on (pass name, spec): a spec both root
+/// lists hold is reported once by `R1_MISSING_ROOT`, and the report header
+/// names the family once.
+pub const PANIC: Pass = Pass {
+    name: "safety",
+    rules: &["S1_PANIC_PATH"],
+    roots: Some((SERVE_ROOTS, Relation::Full)),
+    seed: seed_panics,
+    advice: SAFETY_ADVICE,
+};
+
+/// S2–S5: the untrusted-input taint rules, seeded only inside the cone
+/// of [`UNTRUSTED_ROOTS`].
+pub const UNTRUSTED: Pass = Pass {
+    name: "safety",
+    rules: &[
+        "S2_UNCHECKED_INDEX",
+        "S3_UNCHECKED_ARITH",
+        "S4_UNTRUSTED_ALLOC",
+        "S5_UNBOUNDED_RECURSION",
+    ],
+    roots: Some((UNTRUSTED_ROOTS, Relation::Precise)),
+    seed: seed_untrusted,
+    advice: SAFETY_ADVICE,
+};
+
+const SAFETY_ADVICE: &str = " is reachable from a serving-surface root; return a typed error or \
+                             bound/validate the input";
 
 /// Raw length-free cursor reads: an identifier bound from one of these
 /// method calls is an untrusted count until compared against a length.
@@ -103,372 +125,68 @@ const CAPACITY_SINKS: &[&str] = &["with_capacity", "reserve", "reserve_exact"];
 /// The S1 panic macros (`name!`).
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Everything the safety pass produced: hard findings plus the
-/// panic-safe ledger (rendered into the JSON report so reviewers see
-/// every audited exemption).
-pub struct SafetyOutcome {
-    /// Rule violations, deterministically ordered.
-    pub findings: Vec<Finding>,
-    /// Annotated (audited) sites, deterministically ordered.
-    pub quarantined: Vec<Quarantined>,
-    /// S1 seeds no serve root can reach (informational: cold-path
-    /// panics are covered by lintwall's L1, not this pass).
-    pub dormant: usize,
-}
-
-/// One panic-capable site found in a function body.
-struct Seed {
-    rule: &'static str,
-    fn_idx: usize,
-    line: u32,
-    what: String,
-}
-
-/// Runs the safety pass over the model. `serve_roots` drives S1
-/// panic-freedom; `untrusted_roots` scopes the taint rules S2–S5.
-pub fn run(model: &Model, serve_roots: &[&str], untrusted_roots: &[&str]) -> SafetyOutcome {
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut quarantined: Vec<Quarantined> = Vec::new();
-
-    // Three call-graph relations, by decreasing recall. Self-edges are
-    // kept everywhere (unlike the D/P passes): direct recursion is
-    // exactly what S5 exists to catch.
-    //
-    // * `edges_full` — the bare-name over-approximation the D/P passes
-    //   use. Drives S1: panic seeds are rare, so over-reach is cheap
-    //   and a missed edge would be a missed panic.
-    // * `edges_taint` — precision-tuned for the untrusted cone, where
-    //   seeds (indexing, arithmetic) occur in almost every fn and
-    //   bare-name resolution would taint the whole workspace through
-    //   `Vec::new` or `.len()`: qualified calls (`Owner::name(…)`)
-    //   resolve only to fns of that owner, method calls (`.name(…)`)
-    //   resolve only within the caller's crate, free calls keep
-    //   bare-name resolution.
-    // * `edges_cycle` — `edges_taint` minus method calls, for S5: a
-    //   `.len()` call inside a fn named `len` would otherwise read as
-    //   a self-cycle. Recursion through method dispatch is a
-    //   documented blind spot; the workspace's recursive code (the
-    //   `jsonv` descent) recurses through free calls.
-    let n = model.fns.len();
-    let mut edges_full: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut edges_taint: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut edges_cycle: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, f) in model.fns.iter().enumerate() {
-        if f.in_test {
-            continue;
-        }
-        let file = &model.files[f.file];
-        for name in call_refs(&file.toks, f.body.clone()) {
-            edges_full[i].extend(model.resolve(&file.crate_name, &name));
-        }
-        for call in classify_calls(&file.toks, f.body.clone()) {
-            let candidates = model.resolve(&file.crate_name, &call.name);
-            match call.kind {
-                CallKind::Free => {
-                    edges_taint[i].extend(candidates.iter().copied());
-                    edges_cycle[i].extend(candidates);
-                }
-                CallKind::Qualified(ref owner) => {
-                    let want = if owner == "Self" {
-                        f.owner.as_deref()
-                    } else {
-                        Some(owner.as_str())
-                    };
-                    let matched = candidates
-                        .into_iter()
-                        .filter(|&j| model.fns[j].owner.as_deref() == want);
-                    for j in matched {
-                        edges_taint[i].push(j);
-                        edges_cycle[i].push(j);
-                    }
-                }
-                CallKind::Method => {
-                    edges_taint[i].extend(
-                        candidates.into_iter().filter(|&j| {
-                            model.files[model.fns[j].file].crate_name == file.crate_name
-                        }),
-                    );
-                }
-            }
-        }
-        for e in [&mut edges_full[i], &mut edges_taint[i], &mut edges_cycle[i]] {
-            e.sort_unstable();
-            e.dedup();
-        }
-    }
-
-    // Resolve both root sets; one R3 per unique missing spec.
-    let mut missing: BTreeSet<String> = BTreeSet::new();
-    let resolve_set = |specs: &[&str], missing: &mut BTreeSet<String>| -> Vec<usize> {
-        let mut ids = Vec::new();
-        for spec in specs {
-            let resolved = model.resolve_root(spec);
-            if resolved.is_empty() {
-                missing.insert(spec.to_string());
-            }
-            ids.extend(resolved);
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    };
-    let serve_ids = resolve_set(serve_roots, &mut missing);
-    let untrusted_ids = resolve_set(untrusted_roots, &mut missing);
-    for spec in missing {
-        findings.push(Finding {
-            rule: "R3_MISSING_SERVE_ROOT".into(),
-            path: String::new(),
-            line: 0,
-            symbol: spec.to_string(),
-            message: format!(
-                "serve-surface root `{spec}` matches no workspace fn — update the root list"
-            ),
-            trace: Vec::new(),
-        });
-    }
-
-    let (serve_reached, serve_parent) = bfs(&edges_full, &serve_ids, n);
-    let (untrusted_reached, untrusted_parent) = bfs(&edges_taint, &untrusted_ids, n);
-
-    // Seeding. S1 everywhere (dormancy decided later); S2–S4 only inside
-    // the untrusted cone; S5 on every cycle member inside that cone.
-    let mut seeds: Vec<Seed> = Vec::new();
-    for (fn_idx, f) in model.fns.iter().enumerate() {
-        if f.in_test {
-            continue;
-        }
-        let file = &model.files[f.file];
-        // Vendored stand-ins participate in the call graph but are not
-        // seeded: their panics are charged to the workspace call site.
-        if file.path.starts_with("vendor/") {
-            continue;
-        }
-        seed_fn(
-            fn_idx,
-            f.body.clone(),
-            model,
-            untrusted_reached[fn_idx],
-            &mut seeds,
-        );
-    }
-    for (i, on_cycle) in cycle_members(&edges_cycle, &untrusted_reached)
-        .into_iter()
-        .enumerate()
-    {
-        if !on_cycle {
-            continue;
-        }
-        let f = &model.fns[i];
-        if f.in_test || model.files[f.file].path.starts_with("vendor/") {
-            continue;
-        }
-        seeds.push(Seed {
-            rule: "S5_UNBOUNDED_RECURSION",
-            fn_idx: i,
-            line: f.line,
-            what: format!("recursion cycle through `{}`", f.qualified()),
-        });
-    }
-
-    // Resolve annotations: a seed on line L is suppressed by an
-    // annotation on line L or L-1. Track per-file annotation use.
-    let mut annotations: BTreeMap<(usize, u32), (String, bool)> = BTreeMap::new();
-    for (fi, file) in model.files.iter().enumerate() {
-        for t in &file.toks {
-            if t.kind == TokKind::Comment && is_annotation(&t.text) {
-                annotations.insert((fi, t.line), (annotation_reason(&t.text), false));
-            }
-        }
-    }
-    let mut live_seeds: Vec<Seed> = Vec::new();
-    for seed in seeds {
-        let fi = model.fns[seed.fn_idx].file;
-        let hit = [seed.line, seed.line.saturating_sub(1)]
-            .into_iter()
-            .find(|l| annotations.contains_key(&(fi, *l)));
-        match hit.and_then(|l| annotations.get_mut(&(fi, l))) {
-            Some((reason, used)) => {
-                *used = true;
-                quarantined.push(Quarantined {
-                    path: model.files[fi].path.clone(),
-                    line: seed.line,
-                    rule: seed.rule,
-                    reason: reason.clone(),
-                });
-            }
-            None => live_seeds.push(seed),
-        }
-    }
-
-    // Annotation hygiene, mirroring the taint pass's A-rules.
-    for ((fi, line), (reason, used)) in &annotations {
-        let path = model.files[*fi].path.clone();
-        if reason.is_empty() {
-            findings.push(Finding {
-                rule: "S7_MISSING_REASON".into(),
-                path: path.clone(),
-                line: *line,
-                symbol: String::new(),
-                message: format!("{ANNOTATION} annotation must carry a (reason)"),
-                trace: Vec::new(),
-            });
-        }
-        if !*used {
-            findings.push(Finding {
-                rule: "S6_STALE_ANNOTATION".into(),
-                path,
-                line: *line,
-                symbol: String::new(),
-                message: format!(
-                    "{ANNOTATION} annotation suppresses nothing on this or the next line"
-                ),
-                trace: Vec::new(),
-            });
-        }
-    }
-
-    let chain_from = |parent: &[Option<usize>], from: usize| -> Vec<String> {
-        let mut chain = vec![model.fns[from].qualified()];
-        let mut cur = from;
-        while let Some(p) = parent[cur] {
-            chain.push(model.fns[p].qualified());
-            cur = p;
-        }
-        chain.reverse();
-        chain
-    };
-
-    let mut dormant = 0usize;
-    for seed in &live_seeds {
-        let (reached, parent) = if seed.rule == "S1_PANIC_PATH" {
-            (&serve_reached, &serve_parent)
-        } else {
-            (&untrusted_reached, &untrusted_parent)
-        };
-        if !reached[seed.fn_idx] {
-            dormant += 1;
-            continue;
-        }
-        let f = &model.fns[seed.fn_idx];
-        let file = &model.files[f.file];
-        findings.push(Finding {
-            rule: seed.rule.into(),
-            path: file.path.clone(),
-            line: seed.line,
-            symbol: f.qualified(),
-            message: format!(
-                "{} is reachable from a serving-surface root; return a typed error (or \
-                 bound/validate the input) or annotate with `// {ANNOTATION}(<reason>)`",
-                seed.what
-            ),
-            trace: chain_from(parent, seed.fn_idx),
-        });
-    }
-
-    findings.sort_by(|a, b| {
-        (&a.rule, &a.path, a.line, &a.message).cmp(&(&b.rule, &b.path, b.line, &b.message))
-    });
-    quarantined.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    SafetyOutcome {
-        findings,
-        quarantined,
-        dormant,
-    }
-}
-
-/// How a call site refers to its callee, which decides how precisely it
-/// can be resolved.
-enum CallKind {
-    /// `name(…)` — a free (or locally imported) fn; bare-name resolution.
-    Free,
-    /// `Owner::name(…)` or the path value `Owner::name` — resolution can
-    /// demand the owner matches, which drops `Vec::new`-style std calls
-    /// on the floor instead of tainting every workspace `new`.
-    Qualified(String),
-    /// `.name(…)` — method dispatch; the receiver type is unknown, so
-    /// resolution is restricted to the caller's own crate.
-    Method,
-}
-
-/// One classified call reference inside a fn body.
-struct CallRef {
-    kind: CallKind,
-    name: String,
-}
-
-/// Like [`call_refs`], but classifies each reference so the taint edges
-/// can resolve qualified and method calls more precisely than the
-/// bare-name D/P graph does.
-fn classify_calls(toks: &[Tok], body: Range<usize>) -> Vec<CallRef> {
+/// S1 in every production fn; dormancy is the engine's call.
+fn seed_panics(model: &Model, _: &[bool]) -> Vec<Seed> {
     let mut out = Vec::new();
-    let slice = &toks[body];
-    let code: Vec<usize> = (0..slice.len())
-        .filter(|&i| slice[i].kind != TokKind::Comment)
-        .collect();
-    for (ci, &i) in code.iter().enumerate() {
-        let t = &slice[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let prev = ci.checked_sub(1).map(|p| &slice[code[p]]);
-        if prev.is_some_and(|p| p.is_ident("fn")) {
-            continue;
-        }
-        let next = code.get(ci + 1).map(|&n| &slice[n]);
-        let is_call = next.is_some_and(|n| n.is_punct('('));
-        let is_path_value = prev.is_some_and(|p| p.kind == TokKind::PathSep)
-            && !next.is_some_and(|n| n.is_punct('!'));
-        if !is_call && !is_path_value {
-            continue;
-        }
-        let kind = if prev.is_some_and(|p| p.is_punct('.')) {
-            CallKind::Method
-        } else if prev.is_some_and(|p| p.kind == TokKind::PathSep) {
-            match ci
-                .checked_sub(2)
-                .map(|p| &slice[code[p]])
-                .filter(|o| o.kind == TokKind::Ident)
-            {
-                Some(owner) => CallKind::Qualified(owner.text.clone()),
-                // `<T as Trait>::name` and friends: no nameable owner,
-                // fall back to bare-name resolution.
-                None => CallKind::Free,
+    for fn_idx in model.seeded_fns() {
+        let f = &model.fns[fn_idx];
+        let toks = &model.files[f.file].toks;
+        let code = code(toks, f.body.clone());
+        for ci in 0..code.len() {
+            let t = &toks[code[ci]];
+            if t.kind != TokKind::Ident {
+                continue;
             }
-        } else {
-            CallKind::Free
-        };
-        out.push(CallRef {
-            kind,
-            name: t.text.clone(),
+            let prev = ci.checked_sub(1).map(|p| &toks[code[p]]);
+            let next = code.get(ci + 1).map(|&n| &toks[n]);
+            let message = match t.text.as_str() {
+                "unwrap" | "expect"
+                    if prev.is_some_and(|p| p.is_punct('.'))
+                        && next.is_some_and(|n| n.is_punct('(')) =>
+                {
+                    format!("`.{}()` call", t.text)
+                }
+                m if PANIC_MACROS.contains(&m) && next.is_some_and(|n| n.is_punct('!')) => {
+                    format!("`{m}!` macro")
+                }
+                _ => continue,
+            };
+            out.push(Seed {
+                rule: "S1_PANIC_PATH",
+                file: f.file,
+                line: t.line,
+                func: Some(fn_idx),
+                message,
+            });
+        }
+    }
+    out
+}
+
+/// S2–S4 in every production fn of the untrusted cone, plus S5 on every
+/// cone fn that sits on a call-graph cycle.
+fn seed_untrusted(model: &Model, cone: &[bool]) -> Vec<Seed> {
+    let mut out = Vec::new();
+    for fn_idx in model.seeded_fns().filter(|&i| cone[i]) {
+        seed_fn(fn_idx, model, &mut out);
+    }
+    let on_cycle = cycle_members(model.edges(Relation::Cycle), cone);
+    for i in model.seeded_fns().filter(|&i| on_cycle[i]) {
+        let f = &model.fns[i];
+        out.push(Seed {
+            rule: "S5_UNBOUNDED_RECURSION",
+            file: f.file,
+            line: f.line,
+            func: Some(i),
+            message: format!("recursion cycle through `{}`", f.qualified()),
         });
     }
     out
 }
 
-/// BFS over `edges` from `roots`, remembering one (shortest) parent per
-/// fn so findings can print a witness call chain.
-fn bfs(edges: &[Vec<usize>], roots: &[usize], n: usize) -> (Vec<bool>, Vec<Option<usize>>) {
-    let mut reached = vec![false; n];
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    let mut queue: VecDeque<usize> = roots.iter().copied().collect();
-    for &r in roots {
-        reached[r] = true;
-    }
-    while let Some(i) = queue.pop_front() {
-        for &j in &edges[i] {
-            if !reached[j] {
-                reached[j] = true;
-                parent[j] = Some(i);
-                queue.push_back(j);
-            }
-        }
-    }
-    (reached, parent)
-}
-
 /// `members[i]` — fn `i` sits on a call-graph cycle within the reached
 /// subgraph (including direct self-recursion). Quadratic in the cone
-/// size, which is small (the decoder, the parser, the query fns).
+/// size, which is small (the decoder, the parsers, the query fns).
 fn cycle_members(edges: &[Vec<usize>], reached: &[bool]) -> Vec<bool> {
     let n = edges.len();
     let mut members = vec![false; n];
@@ -492,29 +210,6 @@ fn cycle_members(edges: &[Vec<usize>], reached: &[bool]) -> Vec<bool> {
         }
     }
     members
-}
-
-/// True when a comment *is* a panic-safety annotation — the marker must
-/// open the comment body, so prose quoting the grammar does not register.
-fn is_annotation(comment: &str) -> bool {
-    comment
-        .trim_start_matches(['/', '*', ' ', '\t'])
-        .starts_with(ANNOTATION)
-}
-
-/// Extracts the reason from `… cm-lint: panic-safe(reason) …`.
-fn annotation_reason(comment: &str) -> String {
-    let Some(at) = comment.find(ANNOTATION) else {
-        return String::new();
-    };
-    let rest = &comment[at + ANNOTATION.len()..];
-    let (Some(open), Some(close)) = (rest.find('('), rest.rfind(')')) else {
-        return String::new();
-    };
-    if close <= open {
-        return String::new();
-    }
-    rest[open + 1..close].trim().to_string()
 }
 
 /// What one scanned bracket/paren group contained.
@@ -678,66 +373,27 @@ fn untrusted_idents(toks: &[Tok], code: &[usize]) -> BTreeSet<String> {
     untrusted
 }
 
-/// Scans one fn body for S1 seeds (always) and S2–S4 seeds (only when
-/// the fn sits inside the untrusted-input cone).
-fn seed_fn(fn_idx: usize, body: Range<usize>, model: &Model, untrusted: bool, out: &mut Vec<Seed>) {
-    let file: &FileModel = &model.files[model.fns[fn_idx].file];
-    let toks = &file.toks;
-    let code: Vec<usize> = body
-        .clone()
-        .filter(|&i| toks[i].kind != TokKind::Comment)
-        .collect();
+/// Scans one fn body of the untrusted cone for S2–S4 seeds.
+fn seed_fn(fn_idx: usize, model: &Model, out: &mut Vec<Seed>) {
+    let file = model.fns[fn_idx].file;
+    let toks = &model.files[file].toks;
+    let code = code(toks, model.fns[fn_idx].body.clone());
     let next_is =
         |ci: usize, pred: &dyn Fn(&Tok) -> bool| code.get(ci).map(|&i| &toks[i]).is_some_and(pred);
-    let prev_is = |ci: usize, pred: &dyn Fn(&Tok) -> bool| {
-        ci >= 1 && code.get(ci - 1).map(|&i| &toks[i]).is_some_and(pred)
-    };
-    let push = |out: &mut Vec<Seed>, rule: &'static str, line: u32, what: String| {
+    let push = |out: &mut Vec<Seed>, rule: &'static str, line: u32, message: String| {
         out.push(Seed {
             rule,
-            fn_idx,
+            file,
             line,
-            what,
+            func: Some(fn_idx),
+            message,
         });
     };
-
-    let checked = if untrusted {
-        checked_idents(toks, &code)
-    } else {
-        BTreeSet::new()
-    };
-    let tainted = if untrusted {
-        untrusted_idents(toks, &code)
-    } else {
-        BTreeSet::new()
-    };
+    let checked = checked_idents(toks, &code);
+    let tainted = untrusted_idents(toks, &code);
 
     for ci in 0..code.len() {
         let t = &toks[code[ci]];
-
-        // ---- S1: panic-capable calls and macros (every fn) ----------
-        if t.kind == TokKind::Ident {
-            match t.text.as_str() {
-                "unwrap" | "expect"
-                    if prev_is(ci, &|p| p.is_punct('.'))
-                        && next_is(ci + 1, &|n| n.is_punct('(')) =>
-                {
-                    push(
-                        out,
-                        "S1_PANIC_PATH",
-                        t.line,
-                        format!("`.{}()` call", t.text),
-                    );
-                }
-                m if PANIC_MACROS.contains(&m) && next_is(ci + 1, &|n| n.is_punct('!')) => {
-                    push(out, "S1_PANIC_PATH", t.line, format!("`{m}!` macro"));
-                }
-                _ => {}
-            }
-        }
-        if !untrusted {
-            continue;
-        }
 
         // ---- S2/S3: index and slice expressions ----------------------
         if t.is_punct('[') {
@@ -840,15 +496,21 @@ fn seed_fn(fn_idx: usize, body: Range<usize>, model: &Model, untrusted: bool, ou
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run, Outcome};
     use crate::extract::{build_model, lex_file};
+    use std::collections::BTreeMap;
 
-    fn outcome(src: &str, roots: &[&str]) -> SafetyOutcome {
+    fn outcome(src: &str, roots: &'static [&'static str]) -> Outcome {
         let file = lex_file("src/lib.rs", "demo", src);
-        let model = build_model(vec![file], &BTreeMap::new());
-        run(&model, roots, roots)
+        let rooted = |pass: Pass| Pass {
+            roots: pass.roots.map(|(_, relation)| (roots, relation)),
+            ..pass
+        };
+        let passes = [rooted(PANIC), rooted(UNTRUSTED)];
+        run(&build_model(vec![file], &BTreeMap::new()), &passes)
     }
 
-    fn rules(o: &SafetyOutcome) -> Vec<&str> {
+    fn rules(o: &Outcome) -> Vec<&str> {
         o.findings.iter().map(|f| f.rule.as_str()).collect()
     }
 
@@ -891,7 +553,7 @@ mod tests {
     fn annotation_quarantines_into_the_ledger() {
         let o = outcome(
             "fn root() -> u32 {\n\
-                 // cm-lint: panic-safe(list is non-empty by construction)\n\
+                 // cm-lint: allow(S1_PANIC_PATH, list is non-empty by construction)\n\
                  maybe().unwrap()\n\
              }\n\
              fn maybe() -> Option<u32> { Some(1) }\n",
@@ -1020,30 +682,34 @@ mod tests {
     fn stale_annotation_and_missing_reason_are_findings() {
         let o = outcome(
             "fn root() {\n\
-                 // cm-lint: panic-safe(unused excuse)\n\
+                 // cm-lint: allow(S1_PANIC_PATH, unused excuse)\n\
                  let x = 1;\n\
              }\n\
              fn other() {\n\
-                 // cm-lint: panic-safe()\n\
+                 // cm-lint: allow(S1_PANIC_PATH)\n\
                  let y = maybe().unwrap();\n\
              }\n\
              fn maybe() -> Option<u32> { Some(1) }\n",
             &["root"],
         );
         let r = rules(&o);
-        assert!(r.contains(&"S6_STALE_ANNOTATION"), "{r:?}");
-        assert!(r.contains(&"S7_MISSING_REASON"), "{r:?}");
+        assert!(r.contains(&"A1_STALE_ANNOTATION"), "{r:?}");
+        assert!(r.contains(&"A2_MISSING_REASON"), "{r:?}");
     }
 
     #[test]
     fn missing_root_is_reported_once_per_spec() {
         let o = outcome("fn a() {}\n", &["Nope::nope"]);
-        let r3: Vec<_> = o
+        let r1: Vec<_> = o
             .findings
             .iter()
-            .filter(|f| f.rule == "R3_MISSING_SERVE_ROOT")
+            .filter(|f| f.rule == "R1_MISSING_ROOT")
             .collect();
-        assert_eq!(r3.len(), 1);
-        assert_eq!(r3[0].symbol, "Nope::nope");
+        assert_eq!(
+            r1.len(),
+            1,
+            "one finding although both safety passes miss it"
+        );
+        assert_eq!(r1[0].symbol, "Nope::nope");
     }
 }

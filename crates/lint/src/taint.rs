@@ -18,23 +18,19 @@
 //!    renderers, the `stablehash` primitives, `Pipeline::run` — can reach
 //!    a seed.
 //!
-//! A site is exempt only under a
-//! `// cm-lint: nondet-quarantined(<reason>)` annotation on its own or the
-//! preceding line — the static counterpart of the flight recorder's
-//! `"nondeterministic"` JSONL section, and the only approved way wall
-//! clocks and cache-race counters ride along with a deterministic trace.
-//! Annotations must carry a reason, and an annotation suppressing nothing
-//! is itself a finding (`A1`), so quarantine comments cannot rot.
+//! A site is exempt only under a `// cm-lint: allow(<RULE>, <reason>)`
+//! annotation ([`crate::engine`]) — the static counterpart of the flight
+//! recorder's `"nondeterministic"` JSONL section, and the only approved way
+//! wall clocks and cache-race counters ride along with a deterministic
+//! trace.
 
-use crate::extract::{call_refs, FileModel, Model};
-use crate::lexer::{Tok, TokKind};
-use crate::report::Finding;
+use crate::engine::{Pass, Seed};
+use crate::extract::{FileModel, Model, Relation};
+use crate::lexer::{code, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 
 /// The digest-surface roots: functions whose transitive callees must be
-/// free of unquarantined nondeterminism. `Owner::name` pins the impl type;
-/// a bare name matches any owner.
+/// free of unquarantined nondeterminism.
 pub const DEFAULT_ROOTS: &[&str] = &[
     "AtlasSummary::of",
     "AtlasSummary::digest",
@@ -51,43 +47,22 @@ pub const DEFAULT_ROOTS: &[&str] = &[
     "Pipeline::run",
 ];
 
-/// The annotation marker the pass looks for in comments.
-pub const ANNOTATION: &str = "cm-lint: nondet-quarantined";
-
-/// One nondeterminism source found in a function body.
-pub struct Seed {
-    /// The rule that fired.
-    pub rule: &'static str,
-    /// Index of the containing fn in [`Model::fns`].
-    pub fn_idx: usize,
-    /// 1-based source line of the site.
-    pub line: u32,
-    /// What matched, for the message.
-    pub what: String,
-}
-
-/// A site suppressed by a `nondet-quarantined` annotation.
-pub struct Quarantined {
-    /// Repo-relative path.
-    pub path: String,
-    /// 1-based line of the suppressed site.
-    pub line: u32,
-    /// The rule that would have fired.
-    pub rule: &'static str,
-    /// The annotation's reason text.
-    pub reason: String,
-}
-
-/// Everything the pass produced: hard findings plus the quarantine ledger
-/// (rendered into the JSON report so reviewers see every exemption).
-pub struct TaintOutcome {
-    /// Rule violations, deterministically ordered.
-    pub findings: Vec<Finding>,
-    /// Annotated (suppressed) sites, deterministically ordered.
-    pub quarantined: Vec<Quarantined>,
-    /// Seeds that no digest-surface root can reach (informational).
-    pub dormant: usize,
-}
+/// The determinism pass: rules D1–D6 over the bare-name call graph.
+pub const PASS: Pass = Pass {
+    name: "taint",
+    rules: &[
+        "D1_WALL_CLOCK",
+        "D2_PARALLELISM",
+        "D3_UNSEEDED_RNG",
+        "D4_MAP_ORDER",
+        "D5_ENV_READ",
+        "D6_ADDR_HASH",
+    ],
+    roots: Some((DEFAULT_ROOTS, Relation::Full)),
+    seed,
+    advice: " reaches the golden-digest surface; quarantine it behind the recorder's \
+             nondeterministic section or restructure",
+};
 
 const ITER_METHODS: &[&str] = &[
     "keys",
@@ -130,214 +105,13 @@ const SORT_METHODS: &[&str] = &[
     "sort_unstable_by_key",
 ];
 
-/// Runs the taint pass over the model.
-pub fn run(model: &Model, roots: &[&str]) -> TaintOutcome {
+fn seed(model: &Model, _: &[bool]) -> Vec<Seed> {
     let hash_idents = collect_hash_idents(model);
-    let mut seeds: Vec<Seed> = Vec::new();
-    let mut quarantined: Vec<Quarantined> = Vec::new();
-    let mut findings: Vec<Finding> = Vec::new();
-
-    // Per file: the lines carrying a quarantine annotation, with reason —
-    // and whether any seed actually used it.
-    for (fn_idx, f) in model.fns.iter().enumerate() {
-        if f.in_test {
-            continue;
-        }
-        let file = &model.files[f.file];
-        // Vendored stand-ins participate in the call graph but are not
-        // seeded: their internals (e.g. rand's own entropy plumbing) are
-        // charged to the workspace call site that reaches for them.
-        if file.path.starts_with("vendor/") {
-            continue;
-        }
-        seed_fn(fn_idx, f.body.clone(), model, &hash_idents, &mut seeds);
+    let mut seeds = Vec::new();
+    for fn_idx in model.seeded_fns() {
+        seed_fn(fn_idx, model, &hash_idents, &mut seeds);
     }
-
-    // Resolve annotations: a seed on line L is suppressed by an annotation
-    // on line L or L-1 (comment-above style). Track per-file annotation use.
-    let mut annotations: BTreeMap<(usize, u32), (String, bool)> = BTreeMap::new();
-    for (fi, file) in model.files.iter().enumerate() {
-        for t in &file.toks {
-            if t.kind == TokKind::Comment && is_annotation(&t.text) {
-                let reason = annotation_reason(&t.text);
-                annotations.insert((fi, t.line), (reason, false));
-            }
-        }
-    }
-    let mut live_seeds: Vec<Seed> = Vec::new();
-    for seed in seeds {
-        let fi = model.fns[seed.fn_idx].file;
-        let mut hit = None;
-        for l in [seed.line, seed.line.saturating_sub(1)] {
-            if annotations.contains_key(&(fi, l)) {
-                hit = Some(l);
-                break;
-            }
-        }
-        match hit.and_then(|l| annotations.get_mut(&(fi, l))) {
-            Some((reason, used)) => {
-                *used = true;
-                quarantined.push(Quarantined {
-                    path: model.files[fi].path.clone(),
-                    line: seed.line,
-                    rule: seed.rule,
-                    reason: reason.clone(),
-                });
-            }
-            None => live_seeds.push(seed),
-        }
-    }
-
-    // Annotation hygiene: a reason is mandatory, and an annotation that
-    // suppressed nothing is stale.
-    for ((fi, line), (reason, used)) in &annotations {
-        let path = model.files[*fi].path.clone();
-        if reason.is_empty() {
-            findings.push(Finding {
-                rule: "A2_MISSING_REASON".into(),
-                path: path.clone(),
-                line: *line,
-                symbol: String::new(),
-                message: format!("{ANNOTATION} annotation must carry a (reason)"),
-                trace: Vec::new(),
-            });
-        }
-        if !*used {
-            findings.push(Finding {
-                rule: "A1_STALE_ANNOTATION".into(),
-                path,
-                line: *line,
-                symbol: String::new(),
-                message: format!(
-                    "{ANNOTATION} annotation suppresses nothing on this or the next line"
-                ),
-                trace: Vec::new(),
-            });
-        }
-    }
-
-    // Build the call graph and propagate reachability from the roots.
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); model.fns.len()];
-    for (i, f) in model.fns.iter().enumerate() {
-        if f.in_test {
-            continue;
-        }
-        let file = &model.files[f.file];
-        for name in call_refs(&file.toks, f.body.clone()) {
-            for callee in model.resolve(&file.crate_name, &name) {
-                if callee != i {
-                    edges[i].push(callee);
-                }
-            }
-        }
-        edges[i].sort_unstable();
-        edges[i].dedup();
-    }
-    let mut root_ids: Vec<usize> = Vec::new();
-    for spec in roots {
-        let resolved = model.resolve_root(spec);
-        if resolved.is_empty() {
-            findings.push(Finding {
-                rule: "R1_MISSING_ROOT".into(),
-                path: String::new(),
-                line: 0,
-                symbol: (*spec).to_string(),
-                message: format!(
-                    "digest-surface root `{spec}` matches no workspace fn — update the root list"
-                ),
-                trace: Vec::new(),
-            });
-        }
-        root_ids.extend(resolved);
-    }
-    root_ids.sort_unstable();
-    root_ids.dedup();
-
-    // BFS from all roots at once, remembering one (shortest) parent per fn
-    // so findings can print a witness call chain.
-    let mut parent: Vec<Option<usize>> = vec![None; model.fns.len()];
-    let mut reached: Vec<bool> = vec![false; model.fns.len()];
-    let mut queue: std::collections::VecDeque<usize> = root_ids.iter().copied().collect();
-    for &r in &root_ids {
-        reached[r] = true;
-    }
-    while let Some(i) = queue.pop_front() {
-        for &j in &edges[i] {
-            if !reached[j] {
-                reached[j] = true;
-                parent[j] = Some(i);
-                queue.push_back(j);
-            }
-        }
-    }
-
-    let mut dormant = 0usize;
-    for seed in &live_seeds {
-        if !reached[seed.fn_idx] {
-            dormant += 1;
-            continue;
-        }
-        let f = &model.fns[seed.fn_idx];
-        let file = &model.files[f.file];
-        let mut chain = vec![f.qualified()];
-        let mut cur = seed.fn_idx;
-        while let Some(p) = parent[cur] {
-            chain.push(model.fns[p].qualified());
-            cur = p;
-        }
-        chain.reverse();
-        findings.push(Finding {
-            rule: seed.rule.into(),
-            path: file.path.clone(),
-            line: seed.line,
-            symbol: f.qualified(),
-            message: format!(
-                "{} reaches the golden-digest surface; quarantine it behind the recorder's \
-                 nondeterministic section and annotate with `// {ANNOTATION}(<reason>)`, \
-                 or restructure",
-                seed.what
-            ),
-            trace: chain,
-        });
-    }
-
-    findings.sort_by(|a, b| {
-        (&a.rule, &a.path, a.line, &a.message).cmp(&(&b.rule, &b.path, b.line, &b.message))
-    });
-    quarantined.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    TaintOutcome {
-        findings,
-        quarantined,
-        dormant,
-    }
-}
-
-/// True when a comment *is* an annotation — the marker must open the
-/// comment body (after `//`, `/*` and whitespace), so documentation that
-/// merely quotes the grammar mid-prose does not register.
-fn is_annotation(comment: &str) -> bool {
-    comment
-        .trim_start_matches(['/', '*', ' ', '\t'])
-        .starts_with(ANNOTATION)
-}
-
-/// Extracts the reason from `… cm-lint: nondet-quarantined(reason) …`.
-fn annotation_reason(comment: &str) -> String {
-    let Some(at) = comment.find(ANNOTATION) else {
-        return String::new();
-    };
-    let rest = &comment[at + ANNOTATION.len()..];
-    let Some(open) = rest.find('(') else {
-        return String::new();
-    };
-    // The reason may itself contain parens; take to the last close.
-    let Some(close) = rest.rfind(')') else {
-        return String::new();
-    };
-    if close <= open {
-        return String::new();
-    }
-    rest[open + 1..close].trim().to_string()
+    seeds
 }
 
 /// Identifiers declared with a `HashMap`/`HashSet` type (fields, params,
@@ -388,10 +162,9 @@ fn collect_hash_idents(model: &Model) -> HashDecls {
         let mut names = BTreeSet::new();
         let mut nonhash = BTreeSet::new();
         if !file.path.starts_with("vendor/") {
-            let toks: Vec<&Tok> = file
-                .toks
-                .iter()
-                .filter(|t| t.kind != TokKind::Comment)
+            let toks: Vec<&Tok> = code(&file.toks, 0..file.toks.len())
+                .into_iter()
+                .map(|i| &file.toks[i])
                 .collect();
             for i in 0..toks.len() {
                 // `name : Type` or `name = Ctor::…` — classify by the head
@@ -499,28 +272,18 @@ fn prev_for(toks: &[Tok], code: &[usize], ci: usize) -> bool {
 }
 
 /// Scans one fn body for rule seeds.
-fn seed_fn(
-    fn_idx: usize,
-    body: Range<usize>,
-    model: &Model,
-    hash_decls: &HashDecls,
-    out: &mut Vec<Seed>,
-) {
+fn seed_fn(fn_idx: usize, model: &Model, hash_decls: &HashDecls, out: &mut Vec<Seed>) {
     let file_idx = model.fns[fn_idx].file;
     let file: &FileModel = &model.files[file_idx];
     let toks = &file.toks;
-    // Code-token indices within the body (comments skipped for matching,
-    // but kept in `toks` for the annotation layer).
-    let code: Vec<usize> = body
-        .clone()
-        .filter(|&i| toks[i].kind != TokKind::Comment)
-        .collect();
-    let push = |out: &mut Vec<Seed>, rule: &'static str, ci: usize, what: String| {
+    let code = code(toks, model.fns[fn_idx].body.clone());
+    let push = |out: &mut Vec<Seed>, rule: &'static str, ci: usize, message: String| {
         out.push(Seed {
             rule,
-            fn_idx,
+            file: file_idx,
             line: toks[code[ci]].line,
-            what,
+            func: Some(fn_idx),
+            message,
         });
     };
 
@@ -822,12 +585,18 @@ fn d4_allowed(toks: &[Tok], code: &[usize], site_ci: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run, Outcome};
     use crate::extract::{build_model, lex_file};
 
-    fn outcome(src: &str, roots: &[&str]) -> TaintOutcome {
+    fn outcome(src: &str, roots: &'static [&'static str]) -> Outcome {
         let file = lex_file("src/lib.rs", "demo", src);
-        let model = build_model(vec![file], &BTreeMap::new());
-        run(&model, roots)
+        run(
+            &build_model(vec![file], &BTreeMap::new()),
+            &[Pass {
+                roots: Some((roots, Relation::Full)),
+                ..PASS
+            }],
+        )
     }
 
     #[test]
@@ -847,7 +616,7 @@ mod tests {
         let o = outcome(
             "fn root() -> u64 { helper() }\n\
              fn helper() -> u64 {\n\
-                 // cm-lint: nondet-quarantined(wall clock rides the nondet JSONL section)\n\
+                 // cm-lint: allow(D1_WALL_CLOCK, wall clock rides the nondet JSONL section)\n\
                  let t = Instant::now();\n\
                  0\n}\n",
             &["root"],
@@ -872,11 +641,11 @@ mod tests {
     fn stale_annotation_and_missing_reason_are_findings() {
         let o = outcome(
             "fn root() {\n\
-                 // cm-lint: nondet-quarantined(unused excuse)\n\
+                 // cm-lint: allow(D1_WALL_CLOCK, unused excuse)\n\
                  let x = 1;\n\
              }\n\
              fn other() {\n\
-                 // cm-lint: nondet-quarantined()\n\
+                 // cm-lint: allow(D1_WALL_CLOCK)\n\
                  let t = Instant::now();\n\
              }\n",
             &["root"],

@@ -1,175 +1,64 @@
-//! Mutation-style self-tests for the hot-path cost pass: one fixture per
-//! rule P1–P6 injects the costly construct inside a loop on a path the
-//! hot root reaches and asserts the pass fails with exactly that rule;
-//! the annotated twin asserts the `hot-cost-accepted` escape works and
-//! lands in the quarantine ledger. A final dormancy test proves no rule
-//! in the set is dead — every P-rule must fire on at least one fixture.
+//! Mutation tests for the hot-path cost rules (P1–P6), driven by the one
+//! table in `fixtures`.
 
-use cm_lint::{analyze_cost, SourceFile};
-use std::collections::{BTreeMap, BTreeSet};
+mod fixtures;
 
-/// Every fixture pairs a rule with a helper whose loop body carries the
-/// costly construct on the line marked `MUTATION`.
-const FIXTURES: &[(&str, &str)] = &[
-    (
-        "P1_HEAP_ALLOC",
-        "fn helper() -> u64 {\n    let mut acc = 0u64;\n    for i in 0..4u64 {\n        let v: Vec<u64> = Vec::new(); // MUTATION\n        acc += v.len() as u64 + i;\n    }\n    acc\n}",
-    ),
-    (
-        "P2_CLONE",
-        "fn helper() -> u64 {\n    let name = String::from(\"x\");\n    let mut acc = 0u64;\n    for _i in 0..4u64 {\n        let copy = name.clone(); // MUTATION\n        acc += copy.len() as u64;\n    }\n    acc\n}",
-    ),
-    (
-        "P3_FORMAT",
-        "fn helper() -> u64 {\n    let mut acc = 0u64;\n    for i in 0..4u64 {\n        let s = format!(\"probe-{i}\"); // MUTATION\n        acc += s.len() as u64;\n    }\n    acc\n}",
-    ),
-    (
-        "P4_HASH_BUILD",
-        "fn helper() -> u64 {\n    let mut acc = 0u64;\n    for i in 0..4u64 {\n        let m: HashMap<u64, u64> = HashMap::new(); // MUTATION\n        acc += m.len() as u64 + i;\n    }\n    acc\n}",
-    ),
-    (
-        "P5_HASH_REDRAW",
-        "fn helper() -> u64 {\n    let seed = 7u64;\n    let mut acc = 0u64;\n    for _i in 0..4u64 {\n        acc ^= stablehash::mix(seed, &[0x5EEDu64]); // MUTATION\n    }\n    acc\n}",
-    ),
-    (
-        "P6_DYN_ITER",
-        "fn helper() -> u64 {\n    let mut acc = 0u64;\n    for _i in 0..4u64 {\n        let it: &mut dyn Iterator<Item = u64> = &mut (0..4u64); // MUTATION\n        acc += it.next().unwrap_or(0);\n    }\n    acc\n}",
-    ),
-];
-
-fn run_fixture(body: &str) -> cm_lint::cost::CostOutcome {
-    let src = format!("fn root() -> u64 {{ helper() }}\n{body}\n");
-    let sources = [SourceFile {
-        path: "crates/demo/src/lib.rs".into(),
-        crate_name: "demo".into(),
-        src,
-    }];
-    analyze_cost(&sources, &BTreeMap::new(), &["root"])
-}
-
-/// Asserts the mutated fixture trips `rule` and that quarantining the
-/// seed line with a `hot-cost-accepted` annotation makes the pass clean.
-fn assert_mutation_caught(rule: &str, helper: &str) {
-    let out = run_fixture(helper);
-    assert!(
-        out.findings.iter().any(|f| f.rule == rule),
-        "{rule}: expected a finding, got {:?}",
-        out.findings
-    );
-    // Every finding must carry the witness chain back to the hot root.
-    for f in out.findings.iter().filter(|f| f.rule == rule) {
-        assert_eq!(f.trace.first().map(String::as_str), Some("root"), "{rule}");
-    }
-
-    // The annotated twin: same construct, quarantined with a reason.
-    let annotation = "// cm-lint: hot-cost-accepted(fixture twin; audited)";
-    let annotated: String = helper
-        .lines()
-        .map(|l| {
-            if l.contains("MUTATION") {
-                format!("{annotation}\n{l}\n")
-            } else {
-                format!("{l}\n")
-            }
-        })
-        .collect();
-    let out = run_fixture(&annotated);
-    assert!(
-        out.findings.is_empty(),
-        "{rule} (annotated): expected clean, got {:?}",
-        out.findings
-    );
-    assert!(
-        out.quarantined.iter().any(|q| q.rule == rule),
-        "{rule} (annotated): quarantine ledger is missing the site"
-    );
-    assert!(
-        out.quarantined
-            .iter()
-            .all(|q| q.reason == "fixture twin; audited"),
-        "{rule} (annotated): ledger must carry the reason"
-    );
-}
+use cm_lint::cost;
+use fixtures::*;
 
 #[test]
 fn p1_heap_alloc_mutation_fails_the_pass() {
-    assert_mutation_caught(FIXTURES[0].0, FIXTURES[0].1);
+    assert_mutation_caught("P1_HEAP_ALLOC");
 }
 
 #[test]
 fn p2_clone_mutation_fails_the_pass() {
-    assert_mutation_caught(FIXTURES[1].0, FIXTURES[1].1);
+    assert_mutation_caught("P2_CLONE");
 }
 
 #[test]
 fn p3_format_mutation_fails_the_pass() {
-    assert_mutation_caught(FIXTURES[2].0, FIXTURES[2].1);
+    assert_mutation_caught("P3_FORMAT");
 }
 
 #[test]
 fn p4_hash_build_mutation_fails_the_pass() {
-    assert_mutation_caught(FIXTURES[3].0, FIXTURES[3].1);
+    assert_mutation_caught("P4_HASH_BUILD");
 }
 
 #[test]
 fn p5_hash_redraw_mutation_fails_the_pass() {
-    assert_mutation_caught(FIXTURES[4].0, FIXTURES[4].1);
+    assert_mutation_caught("P5_HASH_REDRAW");
 }
 
 #[test]
 fn p6_dyn_iter_mutation_fails_the_pass() {
-    assert_mutation_caught(FIXTURES[5].0, FIXTURES[5].1);
+    assert_mutation_caught("P6_DYN_ITER");
 }
 
-/// No dead rules: across the fixture set, every P-rule must fire at
-/// least once. A matcher regression that silently disables a rule fails
-/// here even if the per-rule test above is edited out of sync.
 #[test]
 fn every_p_rule_fires_on_at_least_one_fixture() {
-    let fired: BTreeSet<String> = FIXTURES
-        .iter()
-        .flat_map(|(_, helper)| run_fixture(helper).findings)
-        .map(|f| f.rule.to_string())
-        .collect();
-    for rule in [
-        "P1_HEAP_ALLOC",
-        "P2_CLONE",
-        "P3_FORMAT",
-        "P4_HASH_BUILD",
-        "P5_HASH_REDRAW",
-        "P6_DYN_ITER",
-    ] {
-        assert!(fired.contains(rule), "rule {rule} fired on no fixture");
-    }
+    assert_rules_fire(cost::PASS.rules.iter().copied());
 }
 
-/// Seeds in functions no hot root reaches are dormant, not findings:
-/// cold-path cost is out of scope for the gate, but the count is kept
-/// so a root-list regression is visible.
 #[test]
 fn unreachable_seeds_are_dormant_not_findings() {
-    let src = "fn root() -> u64 { 0 }\nfn cold() -> u64 {\n    let mut acc = 0u64;\n    for i in 0..4u64 {\n        let s = format!(\"cold-{i}\");\n        acc += s.len() as u64;\n    }\n    acc\n}\n";
-    let sources = [SourceFile {
-        path: "crates/demo/src/lib.rs".into(),
-        crate_name: "demo".into(),
-        src: src.into(),
-    }];
-    let out = analyze_cost(&sources, &BTreeMap::new(), &["root"]);
-    assert!(
-        out.findings.is_empty(),
-        "cold-path seed must not fire: {:?}",
-        out.findings
+    assert_dormant(
+        "P3_FORMAT",
+        "fn helper() -> u64 { 0 }\nfn cold() -> u64 {\n    let mut acc = 0u64;\n    \
+         for i in 0..4u64 {\n        let s = format!(\"cold-{i}\");\n        \
+         acc += s.len() as u64;\n    }\n    acc\n}",
     );
-    assert!(out.dormant >= 1, "cold-path seed must be counted dormant");
 }
 
-/// Loop-variant stablehash draws must NOT trip P5: the draw key depends
-/// on the loop variable, so each iteration legitimately needs its own
-/// draw. Only invariant keys are redundant.
+/// A draw keyed on the loop variable needs one draw per iteration; only
+/// loop-invariant keys are redundant.
 #[test]
 fn p5_spares_loop_variant_draws() {
-    let helper = "fn helper() -> u64 {\n    let seed = 7u64;\n    let mut acc = 0u64;\n    for i in 0..4u64 {\n        acc ^= stablehash::mix(seed, &[i]);\n    }\n    acc\n}";
-    let out = run_fixture(helper);
+    let helper = "fn helper() -> u64 {\n    let seed = 7u64;\n    let mut acc = 0u64;\n    \
+                  for i in 0..4u64 {\n        acc ^= stablehash::mix(seed, &[i]);\n    }\n    \
+                  acc\n}";
+    let out = run(DEMO, helper, &passes_of("P5_HASH_REDRAW"));
     assert!(
         out.findings.is_empty(),
         "variant draw must not fire: {:?}",

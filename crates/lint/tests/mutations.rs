@@ -1,123 +1,100 @@
-//! Mutation-style self-tests for the determinism taint pass: one fixture
-//! per rule D1–D6 injects the forbidden construct on a path reaching the
-//! root and asserts the lint fails with exactly that rule; the annotated
-//! twin asserts the quarantine escape works and lands in the ledger.
+//! Mutation tests for the determinism (D1–D6) and lintwall (L1–L3)
+//! rules, the engine's hygiene rules and the rule registry, driven by the
+//! one table in `fixtures`.
 
-use cm_lint::{analyze, SourceFile};
-use std::collections::BTreeMap;
+mod fixtures;
 
-fn run_fixture(body: &str) -> cm_lint::taint::TaintOutcome {
-    let src = format!("fn root() -> u64 {{ helper() }}\n{body}\n");
-    let sources = [SourceFile {
-        path: "crates/demo/src/lib.rs".into(),
-        crate_name: "demo".into(),
-        src,
-    }];
-    analyze(&sources, &BTreeMap::new(), &["root"])
-}
-
-/// Asserts the mutated fixture trips `rule` and that quarantining the seed
-/// line with an annotation makes the lint pass again.
-fn assert_mutation_caught(rule: &str, helper: &str) {
-    let out = run_fixture(helper);
-    assert!(
-        out.findings.iter().any(|f| f.rule == rule),
-        "{rule}: expected a finding, got {:?}",
-        out.findings
-    );
-    // Every finding must carry the witness chain back to the root.
-    for f in out.findings.iter().filter(|f| f.rule == rule) {
-        assert_eq!(f.trace.first().map(String::as_str), Some("root"), "{rule}");
-    }
-
-    // The annotated twin: same construct, quarantined with a reason.
-    let annotation = "// cm-lint: nondet-quarantined(fixture twin; audited)";
-    let annotated: String = helper
-        .lines()
-        .map(|l| {
-            if l.contains("MUTATION") {
-                format!("{annotation}\n{l}\n")
-            } else {
-                format!("{l}\n")
-            }
-        })
-        .collect();
-    let out = run_fixture(&annotated);
-    assert!(
-        out.findings.is_empty(),
-        "{rule} (annotated): expected clean, got {:?}",
-        out.findings
-    );
-    assert!(
-        out.quarantined.iter().any(|q| q.rule == rule),
-        "{rule} (annotated): quarantine ledger is missing the site"
-    );
-    assert!(
-        out.quarantined
-            .iter()
-            .all(|q| q.reason == "fixture twin; audited"),
-        "{rule} (annotated): ledger must carry the reason"
-    );
-}
+use cm_lint::report;
+use fixtures::*;
 
 #[test]
 fn d1_wall_clock_mutation_fails_the_lint() {
-    assert_mutation_caught(
-        "D1_WALL_CLOCK",
-        "fn helper() -> u64 {\n    let t = Instant::now(); // MUTATION\n    0\n}",
-    );
+    assert_mutation_caught("D1_WALL_CLOCK");
 }
 
 #[test]
 fn d2_parallelism_mutation_fails_the_lint() {
-    assert_mutation_caught(
-        "D2_PARALLELISM",
-        "fn helper() -> u64 {\n    std::thread::available_parallelism().map_or(1, |n| n.get()) as u64 // MUTATION\n}",
-    );
+    assert_mutation_caught("D2_PARALLELISM");
 }
 
 #[test]
 fn d3_unseeded_rng_mutation_fails_the_lint() {
-    assert_mutation_caught(
-        "D3_UNSEEDED_RNG",
-        "fn helper() -> u64 {\n    let mut rng = thread_rng(); // MUTATION\n    0\n}",
-    );
+    assert_mutation_caught("D3_UNSEEDED_RNG");
 }
 
 #[test]
 fn d4_map_order_mutation_fails_the_lint() {
-    assert_mutation_caught(
-        "D4_MAP_ORDER",
-        "fn helper() -> u64 {\n    let m: HashMap<u64, u64> = HashMap::new();\n    let mut acc = Vec::new();\n    for k in m.keys() { acc.push(*k); } // MUTATION\n    acc.len() as u64\n}",
-    );
+    assert_mutation_caught("D4_MAP_ORDER");
 }
 
 #[test]
 fn d5_env_read_mutation_fails_the_lint() {
-    assert_mutation_caught(
-        "D5_ENV_READ",
-        "fn helper() -> u64 {\n    std::env::var(\"WORKERS\").map(|v| v.len()).unwrap_or(0) as u64 // MUTATION\n}",
-    );
+    assert_mutation_caught("D5_ENV_READ");
 }
 
 #[test]
 fn d6_addr_hash_mutation_fails_the_lint() {
-    assert_mutation_caught(
-        "D6_ADDR_HASH",
-        "fn helper() -> u64 {\n    let s = RandomState::new(); // MUTATION\n    0\n}",
-    );
+    assert_mutation_caught("D6_ADDR_HASH");
+}
+
+#[test]
+fn l1_unwrap_mutation_fails_the_lint() {
+    assert_mutation_caught("L1_UNWRAP");
+}
+
+#[test]
+fn l2_map_iter_mutation_fails_the_lint() {
+    assert_mutation_caught("L2_MAP_ITER");
+}
+
+#[test]
+fn l3_missing_docs_mutation_fails_the_lint() {
+    assert_mutation_caught("L3_MISSING_DOCS");
 }
 
 #[test]
 fn seed_without_root_path_stays_dormant() {
-    // The same construct in a fn unreachable from the root is counted as
-    // dormant, not reported — keeps the gate focused on the digest path.
-    let sources = [SourceFile {
-        path: "crates/demo/src/lib.rs".into(),
-        crate_name: "demo".into(),
-        src: "fn root() -> u64 { 0 }\nfn stray() -> u64 { let t = Instant::now(); 1 }\n".into(),
-    }];
-    let out = analyze(&sources, &BTreeMap::new(), &["root"]);
-    assert!(out.findings.is_empty(), "{:?}", out.findings);
-    assert_eq!(out.dormant, 1);
+    assert_dormant(
+        "D1_WALL_CLOCK",
+        "fn helper() -> u64 { 0 }\nfn stray() -> u64 { let t = Instant::now(); 1 }",
+    );
+}
+
+fn rules(o: &cm_lint::engine::Outcome) -> Vec<&str> {
+    o.findings.iter().map(|f| f.rule.as_str()).collect()
+}
+
+#[test]
+fn a1_misspelled_rule_id_suppresses_nothing() {
+    let o = hygiene("A1_STALE_ANNOTATION");
+    assert_eq!(rules(&o), ["A1_STALE_ANNOTATION", "D1_WALL_CLOCK"]);
+}
+
+#[test]
+fn a2_annotation_without_reason_is_a_finding() {
+    let o = hygiene("A2_MISSING_REASON");
+    assert_eq!(rules(&o), ["A2_MISSING_REASON"]);
+    assert_eq!(o.quarantined.len(), 1, "the rule is still suppressed");
+}
+
+#[test]
+fn r1_unresolvable_root_is_a_finding() {
+    let o = hygiene("R1_MISSING_ROOT");
+    assert_eq!(rules(&o), ["R1_MISSING_ROOT"]);
+    assert_eq!(o.findings[0].symbol, "Nope::nope");
+}
+
+#[test]
+fn allow_suppresses_only_the_rules_it_names() {
+    let helper = "fn helper() -> u64 {\n    \
+                  // cm-lint: allow(D1_WALL_CLOCK, the clock rides the nondet section)\n    \
+                  let t = (Instant::now(), std::env::var(\"X\"));\n    0\n}";
+    let o = run(DEMO, helper, &passes_of("D1_WALL_CLOCK"));
+    assert_eq!(rules(&o), ["D5_ENV_READ"]);
+    assert_eq!(o.quarantined[0].rule, "D1_WALL_CLOCK");
+}
+
+#[test]
+fn no_rule_in_the_registry_is_dead() {
+    assert_rules_fire(report::rule_set());
 }

@@ -1,144 +1,48 @@
-//! Mutation-style self-tests for the serving-safety pass: one fixture
-//! per rule S1–S5 injects the panic-capable construct on a path the
-//! serve root reaches and asserts the pass fails with exactly that
-//! rule; the annotated twin asserts the `panic-safe` escape works and
-//! lands in the quarantine ledger. A final dormancy test proves S1
-//! seeds outside the serving cone count as dormant, not as findings.
+//! Mutation tests for the serving-safety rules (S1–S5), driven by the one
+//! table in `fixtures`.
 
-use cm_lint::{analyze_safety, SourceFile};
-use std::collections::{BTreeMap, BTreeSet};
+mod fixtures;
 
-/// Every fixture pairs a rule with a helper whose panic-capable site
-/// sits on the line marked `MUTATION`.
-const FIXTURES: &[(&str, &str)] = &[
-    (
-        "S1_PANIC_PATH",
-        "fn helper() -> u64 {\n    let v = vec![5u64];\n    v.first().copied().unwrap() // MUTATION\n}",
-    ),
-    (
-        "S2_UNCHECKED_INDEX",
-        "fn helper() -> u64 {\n    let v = vec![5u64, 7];\n    let i = pick();\n    v[i] // MUTATION\n}\nfn pick() -> usize { 1 }",
-    ),
-    (
-        "S3_UNCHECKED_ARITH",
-        "fn helper() -> u64 {\n    let v = vec![5u64, 7];\n    let i = pick();\n    if i < v.len() { v[i * 2] // MUTATION\n    } else { 0 }\n}\nfn pick() -> usize { 0 }",
-    ),
-    (
-        "S4_UNTRUSTED_ALLOC",
-        "fn helper(c: &mut Cur) -> u64 {\n    let n = c.u32() as usize;\n    let buf: Vec<u64> = Vec::with_capacity(n); // MUTATION\n    buf.capacity() as u64\n}",
-    ),
-    (
-        "S5_UNBOUNDED_RECURSION",
-        "fn helper() -> u64 {\n    descend(3)\n}\nfn descend(d: u64) -> u64 { // MUTATION\n    if d == 0 { 0 } else { descend(d - 1) }\n}",
-    ),
-];
-
-fn run_fixture(body: &str) -> cm_lint::safety::SafetyOutcome {
-    let src = format!("fn root(c: &mut Cur) -> u64 {{ helper(c) }}\n{body}\n");
-    let sources = [SourceFile {
-        path: "crates/demo/src/lib.rs".into(),
-        crate_name: "demo".into(),
-        src,
-    }];
-    analyze_safety(&sources, &BTreeMap::new(), &["root"], &["root"])
-}
-
-/// Asserts the mutated fixture trips `rule` and that quarantining the
-/// seed line with a `panic-safe` annotation makes the pass clean.
-fn assert_mutation_caught(rule: &str, helper: &str) {
-    let out = run_fixture(helper);
-    assert!(
-        out.findings.iter().any(|f| f.rule == rule),
-        "{rule}: expected a finding, got {:?}",
-        out.findings
-    );
-    // Every finding must carry the witness chain back to the serve root.
-    for f in out.findings.iter().filter(|f| f.rule == rule) {
-        assert_eq!(f.trace.first().map(String::as_str), Some("root"), "{rule}");
-    }
-
-    // The annotated twin: same construct, quarantined with a reason.
-    let annotation = "// cm-lint: panic-safe(fixture twin; audited)";
-    let annotated: String = helper
-        .lines()
-        .map(|l| {
-            if l.contains("MUTATION") {
-                format!("{annotation}\n{l}\n")
-            } else {
-                format!("{l}\n")
-            }
-        })
-        .collect();
-    let out = run_fixture(&annotated);
-    assert!(
-        out.findings.is_empty(),
-        "{rule} (annotated): expected clean, got {:?}",
-        out.findings
-    );
-    assert!(
-        out.quarantined.iter().any(|q| q.rule == rule),
-        "{rule} (annotated): quarantine ledger is missing the site"
-    );
-    assert!(
-        out.quarantined
-            .iter()
-            .all(|q| q.reason == "fixture twin; audited"),
-        "{rule} (annotated): ledger must carry the reason"
-    );
-}
+use cm_lint::safety;
+use fixtures::*;
 
 #[test]
 fn s1_panic_path_mutation_fails_the_pass() {
-    assert_mutation_caught(FIXTURES[0].0, FIXTURES[0].1);
+    assert_mutation_caught("S1_PANIC_PATH");
 }
 
 #[test]
 fn s2_unchecked_index_mutation_fails_the_pass() {
-    assert_mutation_caught(FIXTURES[1].0, FIXTURES[1].1);
+    assert_mutation_caught("S2_UNCHECKED_INDEX");
 }
 
 #[test]
 fn s3_unchecked_arith_mutation_fails_the_pass() {
-    assert_mutation_caught(FIXTURES[2].0, FIXTURES[2].1);
+    assert_mutation_caught("S3_UNCHECKED_ARITH");
 }
 
 #[test]
 fn s4_untrusted_alloc_mutation_fails_the_pass() {
-    assert_mutation_caught(FIXTURES[3].0, FIXTURES[3].1);
+    assert_mutation_caught("S4_UNTRUSTED_ALLOC");
 }
 
 #[test]
 fn s5_unbounded_recursion_mutation_fails_the_pass() {
-    assert_mutation_caught(FIXTURES[4].0, FIXTURES[4].1);
+    assert_mutation_caught("S5_UNBOUNDED_RECURSION");
 }
 
-/// No dead rules: across the fixture set, every S-rule must fire at
-/// least once. A matcher regression that silently disables a rule fails
-/// here even if the per-rule test above is edited out of sync.
 #[test]
 fn every_s_rule_fires_on_at_least_one_fixture() {
-    let fired: BTreeSet<String> = FIXTURES
-        .iter()
-        .flat_map(|(_, helper)| run_fixture(helper).findings)
-        .map(|f| f.rule.to_string())
-        .collect();
-    for rule in [
-        "S1_PANIC_PATH",
-        "S2_UNCHECKED_INDEX",
-        "S3_UNCHECKED_ARITH",
-        "S4_UNTRUSTED_ALLOC",
-        "S5_UNBOUNDED_RECURSION",
-    ] {
-        assert!(fired.contains(rule), "rule {rule} fired on no fixture");
-    }
+    let rules = safety::PANIC.rules.iter().chain(safety::UNTRUSTED.rules);
+    assert_rules_fire(rules.copied());
 }
 
-/// The S3 fixture's index variable is bounds-checked, so the same
-/// fixture must NOT also trip S2 — the checked-identifier heuristic is
-/// what separates the two rules.
+/// The S3 fixture's index is bounds-checked, so it must not also trip S2:
+/// the checked-identifier heuristic is what separates the two rules.
 #[test]
 fn s3_fixture_does_not_double_report_as_s2() {
-    let out = run_fixture(FIXTURES[2].1);
+    let (path, helper) = fixture("S3_UNCHECKED_ARITH");
+    let out = run(path, helper, &passes_of("S3_UNCHECKED_ARITH"));
     assert!(
         out.findings.iter().all(|f| f.rule != "S2_UNCHECKED_INDEX"),
         "bounds-checked index must not trip S2: {:?}",
@@ -146,31 +50,20 @@ fn s3_fixture_does_not_double_report_as_s2() {
     );
 }
 
-/// `.get(…)`-based access is the sanctioned panic-free form and must
-/// stay clean under every S-rule.
+/// `.get(…)`-based access is the sanctioned panic-free form.
 #[test]
 fn get_based_access_stays_clean() {
-    let helper = "fn helper() -> u64 {\n    let v = vec![5u64, 7];\n    let i = pick();\n    v.get(i).copied().unwrap_or(0)\n}\nfn pick() -> usize { 1 }";
-    let out = run_fixture(helper);
+    let helper = "fn helper() -> u64 {\n    let v = vec![5u64, 7];\n    let i = pick();\n    \
+                  v.get(i).copied().unwrap_or(0)\n}\nfn pick() -> usize { 1 }";
+    let out = run(DEMO, helper, &passes_of("S1_PANIC_PATH"));
     assert!(out.findings.is_empty(), "{:?}", out.findings);
 }
 
-/// S1 seeds in functions no serve root reaches are dormant, not
-/// findings: cold-path panics are lintwall's business, but the count is
-/// kept so a root-list regression stays visible.
 #[test]
 fn unreachable_panic_seeds_are_dormant_not_findings() {
-    let src = "fn root(c: &mut Cur) -> u64 { helper(c) }\nfn helper(_c: &mut Cur) -> u64 { 3 }\nfn cold() -> u64 { maybe().unwrap() }\nfn maybe() -> Option<u64> { Some(3) }\n";
-    let sources = [SourceFile {
-        path: "crates/demo/src/lib.rs".into(),
-        crate_name: "demo".into(),
-        src: src.into(),
-    }];
-    let out = analyze_safety(&sources, &BTreeMap::new(), &["root"], &["root"]);
-    assert!(
-        out.findings.is_empty(),
-        "cold-path seed must not fire: {:?}",
-        out.findings
+    assert_dormant(
+        "S1_PANIC_PATH",
+        "fn helper(_c: &mut Cur) -> u64 { 3 }\nfn cold() -> u64 { maybe().unwrap() }\n\
+         fn maybe() -> Option<u64> { Some(3) }",
     );
-    assert!(out.dormant >= 1, "cold-path seed must be counted dormant");
 }

@@ -157,7 +157,7 @@ impl State {
                 });
                 match self.stack.last_mut() {
                     Some(p) => p,
-                    // cm-lint: panic-safe(the root frame was pushed on the line above, so last_mut is Some)
+                    // cm-lint: allow(S1_PANIC_PATH, the root frame was pushed on the line above, so last_mut is Some)
                     None => unreachable!("just pushed the root frame"),
                 }
             }

@@ -83,7 +83,7 @@ where
     let (plane, cloud) = (campaign.plane, campaign.cloud);
     let regions = campaign.regions();
     let workers = if workers == 0 {
-        // cm-lint: nondet-quarantined(worker count only sizes the thread pool; the coordinator folds results in submission order, so output is byte-identical at any count)
+        // cm-lint: allow(D2_PARALLELISM, worker count only sizes the thread pool; the coordinator folds results in submission order, so output is byte-identical at any count)
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
         workers
@@ -145,7 +145,7 @@ where
             // workers, turning their blocked sends into errors, not a hang.
             let (tx, rx) = mpsc::sync_channel::<(usize, Vec<Traceroute>)>(2 * workers);
             for _ in 0..workers.min(n_work) {
-                let tx = tx.clone(); // cm-lint: hot-cost-accepted(one sender clone per worker thread at spawn)
+                let tx = tx.clone(); // cm-lint: allow(P2_CLONE, one sender clone per worker thread at spawn)
                 let next = &next;
                 scope.spawn(move || loop {
                     let w = next.fetch_add(1, Ordering::Relaxed);
@@ -153,7 +153,7 @@ where
                         break;
                     }
                     let it = item(w, regions, targets, epochs, chunks_per_pass);
-                    let mut batch = Vec::with_capacity(it.targets.len()); // cm-lint: hot-cost-accepted(the batch is sent over the channel to the coordinator, so the buffer cannot be reused)
+                    let mut batch = Vec::with_capacity(it.targets.len()); // cm-lint: allow(P1_HEAP_ALLOC, the batch is sent over the channel to the coordinator, so the buffer cannot be reused)
                     for &t in it.targets {
                         batch.push(plane.traceroute_at(cloud, it.region, t, it.epoch));
                     }

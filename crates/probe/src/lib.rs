@@ -364,7 +364,7 @@ impl RttCampaign {
             let mut handles = Vec::new();
             for &region in &regions {
                 handles.push(scope.spawn(move || {
-                    let mut v = Vec::new(); // cm-lint: hot-cost-accepted(one result buffer per region worker, returned through the scoped-thread join)
+                    let mut v = Vec::new(); // cm-lint: allow(P1_HEAP_ALLOC, one result buffer per region worker, returned through the scoped-thread join)
                     for &t in targets {
                         if let Some(rtt) = plane.ping_min_rtt(cloud, region, t, attempts) {
                             v.push((t, rtt));
@@ -374,6 +374,7 @@ impl RttCampaign {
                 }));
             }
             for h in handles {
+                // cm-lint: allow(L1_UNWRAP, worker-thread join: panic propagation is intended)
                 per_region.push(h.join().expect("rtt worker panicked"));
             }
         });

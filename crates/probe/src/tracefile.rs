@@ -13,9 +13,9 @@
 //! ```
 //!
 //! `T` opens a traceroute (status `C`ompleted / `G`ap-limited / `M`ax-TTL);
-//! each following `H` line is one hop. Ground-truth interface ids are never
-//! serialized — a parsed trace carries exactly what a real measurement
-//! would.
+//! each following `H` line is one hop, and a trace's hop TTLs rise
+//! strictly. Ground-truth interface ids are never serialized — a parsed
+//! trace carries exactly what a real measurement would.
 
 use cm_dataplane::{TraceHop, TraceStatus, Traceroute};
 use cm_net::Ipv4;
@@ -80,7 +80,10 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 /// Parses a tracefile back into traceroutes.
 ///
 /// Hops parsed from external data carry no ground-truth interface
-/// (`iface: None`) — the same view a real measurement provides.
+/// (`iface: None`) — the same view a real measurement provides. A hop
+/// whose TTL does not exceed the previous hop's is rejected: the §4.1
+/// walk reads `ttl + 1` as "the next hop", which strictly rising TTLs keep
+/// in range (a TTL of 255 can only be a trace's last hop).
 pub fn read_traces(input: &str) -> Result<Vec<Traceroute>, ParseError> {
     let mut lines = input.lines().enumerate();
     match lines.next() {
@@ -131,6 +134,9 @@ pub fn read_traces(input: &str) -> Result<Vec<Traceroute>, ParseError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err(lineno, "bad ttl"))?;
+                if t.hops.last().is_some_and(|prev| ttl <= prev.ttl) {
+                    return Err(err(lineno, "ttl does not rise past the previous hop"));
+                }
                 let addr = match parts.next() {
                     Some("*") => None,
                     Some(a) => Some(
@@ -223,6 +229,24 @@ mod tests {
         assert_eq!(ok.len(), 1);
         assert_eq!(ok[0].hops.len(), 2);
         assert_eq!(ok[0].hops[1].rtt_ms, Some(1.25));
+    }
+
+    #[test]
+    fn rejects_ttls_that_do_not_rise() {
+        // A TTL of 255 followed by a lower one used to parse, and then
+        // overflowed the border walk's `ttl + 1`.
+        let hdr = format!("{HEADER}\n");
+        let wrapped = read_traces(&format!(
+            "{hdr}T 0 0 9.9.9.9 C\nH 255 1.2.3.4 1.0\nH 0 5.6.7.8 1.0\n"
+        ));
+        assert_eq!(wrapped.err().map(|e| e.line), Some(4));
+        let repeated = read_traces(&format!("{hdr}T 0 0 9.9.9.9 C\nH 4 1.2.3.4 1.0\nH 4 * -\n"));
+        assert_eq!(repeated.err().map(|e| e.line), Some(4));
+        // Each trace counts on its own: a new `T` may start low again.
+        let ok = read_traces(&format!(
+            "{hdr}T 0 0 9.9.9.9 C\nH 255 1.2.3.4 1.0\nT 0 0 9.9.9.9 C\nH 1 * -\n"
+        ));
+        assert_eq!(ok.map(|t| t.len()), Ok(2));
     }
 
     #[test]

@@ -152,7 +152,7 @@ pub fn file_digest(parts: &[&[u8]]) -> u64 {
         let rem = chunks.remainder();
         if !rem.is_empty() {
             let mut w = [0u8; 8];
-            // cm-lint: panic-safe(chunks_exact(8) leaves a remainder of at most 7 bytes and w is 8)
+            // cm-lint: allow(S2_UNCHECKED_INDEX, chunks_exact(8) leaves a remainder of at most 7 bytes and w is 8)
             w[..rem.len()].copy_from_slice(rem);
             h = stablehash::mix(h, &[u64::from_le_bytes(w), rem.len() as u64]);
         }
@@ -257,7 +257,7 @@ impl AtlasSnapshot {
         if have > payload_len {
             return Err(SnapshotError::TrailingBytes(have - payload_len));
         }
-        // cm-lint: panic-safe(split_at_checked pinned header to exactly HEADER_LEN bytes and DIGEST_OFFSET < HEADER_LEN)
+        // cm-lint: allow(S2_UNCHECKED_INDEX, split_at_checked pinned header to exactly HEADER_LEN bytes and DIGEST_OFFSET < HEADER_LEN)
         let computed = file_digest(&[&header[..DIGEST_OFFSET], payload]);
         if computed != stored {
             return Err(SnapshotError::DigestMismatch { stored, computed });

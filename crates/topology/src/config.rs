@@ -314,7 +314,7 @@ impl TopologyConfig {
             ("cloud_infra_unannounced", self.cloud_infra_unannounced),
         ] {
             if !(0.0..=1.0).contains(&v) {
-                return Err(format!("{name} must be a probability, got {v}")); // cm-lint: hot-cost-accepted(failure-path message in startup validation over a fixed list of knobs)
+                return Err(format!("{name} must be a probability, got {v}")); // cm-lint: allow(P3_FORMAT, failure-path message in startup validation over a fixed list of knobs)
             }
         }
         Ok(())

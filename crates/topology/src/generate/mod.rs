@@ -168,6 +168,7 @@ impl Internet {
     /// # Panics
     /// Panics if the configuration fails [`TopologyConfig::validate`].
     pub fn generate(cfg: TopologyConfig, seed: u64) -> Internet {
+        // cm-lint: allow(L1_UNWRAP, documented panic contract: an invalid TopologyConfig is a caller bug)
         cfg.validate().expect("invalid TopologyConfig");
         let mut b = Builder::new(cfg, seed);
         b.build_ases();

@@ -462,6 +462,7 @@ impl Builder {
                 .iter()
                 .find(|f| f.metro == metro)
                 .map(|f| f.id)
+                // cm-lint: allow(L1_UNWRAP, generator invariant: every metro has a facility)
                 .expect("every metro has a facility");
             // Nearest region by great-circle distance.
             let rid = *region_ids
@@ -473,8 +474,10 @@ impl Builder {
                     let db = self
                         .metros
                         .distance_km(self.regions[b.index()].metro, metro);
+                    // cm-lint: allow(L1_UNWRAP, float comparator over finite values)
                     da.partial_cmp(&db).unwrap()
                 })
+                // cm-lint: allow(L1_UNWRAP, guarded by construction: every cloud has at least one region)
                 .unwrap();
             self.mark_native(cloud_id, fac, rid);
             added += 1;
@@ -526,6 +529,7 @@ impl Builder {
                     .iter()
                     .find(|f| f.metro == metro)
                     .map(|f| f.id)
+                    // cm-lint: allow(L1_UNWRAP, generator invariant: every metro has a facility)
                     .unwrap();
                 self.mark_native(cloud_id, fac, rid);
             }
@@ -568,6 +572,7 @@ impl Builder {
         );
         let vm_addr = self
             .alloc_host_addr(main_as)
+            // cm-lint: allow(L1_UNWRAP, generator invariant: cloud host space is sized for the topology)
             .expect("cloud host space exhausted");
         self.new_iface(vm_router, Some(vm_addr), IfaceKind::Internal);
         let mut core_routers = Vec::new();
@@ -652,6 +657,7 @@ impl Builder {
             self.host_cursors
                 .entry(key)
                 .or_insert_with(|| super::HostCursor::new(block));
+            // cm-lint: allow(L1_UNWRAP, guarded by containment: the cursor is inserted just above)
             if let Some(a) = self.host_cursors.get_mut(&key).unwrap().alloc() {
                 return a;
             }
@@ -662,11 +668,14 @@ impl Builder {
             return self
                 .host_cursors
                 .get_mut(&key)
+                // cm-lint: allow(L1_UNWRAP, guarded by containment: the cursor is inserted just above)
                 .unwrap()
                 .alloc()
+                // cm-lint: allow(L1_UNWRAP, generator invariant: cloud infra space is sized for the topology)
                 .expect("cloud infra space exhausted");
         }
         self.alloc_host_addr(main)
+            // cm-lint: allow(L1_UNWRAP, generator invariant: cloud host space is sized for the topology)
             .expect("cloud host space exhausted")
     }
 
@@ -966,9 +975,11 @@ impl Builder {
             .min_by(|a, b| {
                 let da = self.metros.distance_km(a.metro, metro);
                 let db = self.metros.distance_km(b.metro, metro);
+                // cm-lint: allow(L1_UNWRAP, float comparator over finite values)
                 da.partial_cmp(&db).unwrap().then(a.id.0.cmp(&b.id.0))
             })
             .map(|f| f.id)
+            // cm-lint: allow(L1_UNWRAP, generator invariant: every cloud has a native facility)
             .expect("cloud has at least one native facility")
     }
 
@@ -1121,7 +1132,9 @@ impl Builder {
             )
         };
         let mut hosts = prefix.hosts();
+        // cm-lint: allow(L1_UNWRAP, a /31 always has exactly two hosts)
         let cloud_addr = hosts.next().unwrap();
+        // cm-lint: allow(L1_UNWRAP, a /31 always has exactly two hosts)
         let client_addr = hosts.next().unwrap();
         let id = IcId(self.interconnects.len() as u32);
         let cloud_iface =
@@ -1266,6 +1279,7 @@ impl Builder {
             let main = self.clouds[cloud.index()].ases[0];
             let p = self.alloc_cloud_slash31(main);
             let mut h = p.hosts();
+            // cm-lint: allow(L1_UNWRAP, a /31 always has exactly two hosts)
             (p, AddrProvider::Cloud, h.next().unwrap(), h.next().unwrap())
         } else {
             let announced_space = self.rng.gen_bool(CLIENT_P2P_ANNOUNCED);
@@ -1274,7 +1288,9 @@ impl Builder {
             (
                 p,
                 AddrProvider::Client,
+                // cm-lint: allow(L1_UNWRAP, a /31 always has exactly two hosts)
                 h.next().unwrap(),
+                // cm-lint: allow(L1_UNWRAP, a /31 always has exactly two hosts)
                 h.next().unwrap(),
             )
         };

@@ -175,32 +175,32 @@ impl Internet {
         // Interface/router cross-references.
         for (i, iface) in self.ifaces.iter().enumerate() {
             if iface.id.index() != i {
-                return Err(format!("iface {i} has id {}", iface.id)); // cm-lint: hot-cost-accepted(failure-path message; runs at most once before the invariant check aborts)
+                return Err(format!("iface {i} has id {}", iface.id)); // cm-lint: allow(P3_FORMAT, failure-path message; runs at most once before the invariant check aborts)
             }
             let r = self.router(iface.router);
             if !r.ifaces.contains(&iface.id) {
-                // cm-lint: hot-cost-accepted(failure-path message; runs at most once before the invariant check aborts)
+                // cm-lint: allow(P3_FORMAT, failure-path message; runs at most once before the invariant check aborts)
                 return Err(format!("{} not listed on its router {}", iface.id, r.id));
             }
         }
         for (i, r) in self.routers.iter().enumerate() {
             if r.id.index() != i {
-                return Err(format!("router {i} has id {}", r.id)); // cm-lint: hot-cost-accepted(failure-path message; runs at most once before the invariant check aborts)
+                return Err(format!("router {i} has id {}", r.id)); // cm-lint: allow(P3_FORMAT, failure-path message; runs at most once before the invariant check aborts)
             }
             for &f in &r.ifaces {
                 if self.iface(f).router != r.id {
-                    return Err(format!("{f} on {} claims other router", r.id)); // cm-lint: hot-cost-accepted(failure-path message; runs at most once before the invariant check aborts)
+                    return Err(format!("{f} on {} claims other router", r.id)); // cm-lint: allow(P3_FORMAT, failure-path message; runs at most once before the invariant check aborts)
                 }
             }
         }
         // Links reference existing interfaces and are symmetric.
         for (i, l) in self.links.iter().enumerate() {
             if l.id.index() != i {
-                return Err(format!("link {i} has id {}", l.id)); // cm-lint: hot-cost-accepted(failure-path message; runs at most once before the invariant check aborts)
+                return Err(format!("link {i} has id {}", l.id)); // cm-lint: allow(P3_FORMAT, failure-path message; runs at most once before the invariant check aborts)
             }
             for end in [l.a, l.b] {
                 if self.iface(end).link != Some(l.id) {
-                    // cm-lint: hot-cost-accepted(failure-path message; runs at most once before the invariant check aborts)
+                    // cm-lint: allow(P3_FORMAT, failure-path message; runs at most once before the invariant check aborts)
                     return Err(format!("{end} does not point back to {}", l.id));
                 }
             }
@@ -208,14 +208,14 @@ impl Internet {
         // Interconnect endpoints are consistent.
         for ic in &self.interconnects {
             if self.iface(ic.cloud_iface).router != ic.cloud_router {
-                return Err(format!("{}: cloud iface/router mismatch", ic.id)); // cm-lint: hot-cost-accepted(failure-path message; runs at most once before the invariant check aborts)
+                return Err(format!("{}: cloud iface/router mismatch", ic.id)); // cm-lint: allow(P3_FORMAT, failure-path message; runs at most once before the invariant check aborts)
             }
             if self.iface(ic.client_iface).router != ic.client_router {
-                return Err(format!("{}: client iface/router mismatch", ic.id)); // cm-lint: hot-cost-accepted(failure-path message; runs at most once before the invariant check aborts)
+                return Err(format!("{}: client iface/router mismatch", ic.id)); // cm-lint: allow(P3_FORMAT, failure-path message; runs at most once before the invariant check aborts)
             }
             let peer_owner = self.router(ic.client_router).owner;
             if peer_owner != ic.peer {
-                // cm-lint: hot-cost-accepted(failure-path message; runs at most once before the invariant check aborts)
+                // cm-lint: allow(P3_FORMAT, failure-path message; runs at most once before the invariant check aborts)
                 return Err(format!("{}: client router owned by {peer_owner:?}", ic.id));
             }
         }
@@ -224,7 +224,7 @@ impl Internet {
         for iface in &self.ifaces {
             if let Some(a) = iface.addr {
                 if let Some(prev) = seen.insert(a, iface.id) {
-                    // cm-lint: hot-cost-accepted(failure-path message; runs at most once before the invariant check aborts)
+                    // cm-lint: allow(P3_FORMAT, failure-path message; runs at most once before the invariant check aborts)
                     return Err(format!("address {a} on both {prev} and {}", iface.id));
                 }
             }

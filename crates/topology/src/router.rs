@@ -114,7 +114,7 @@ impl Link {
         } else if from == self.b {
             self.a
         } else {
-            // cm-lint: panic-safe(documented contract — callers only pass iface ids read from this link's own endpoints)
+            // cm-lint: allow(S1_PANIC_PATH, documented contract — callers only pass iface ids read from this link's own endpoints)
             panic!("{from} is not an endpoint of {}", self.id)
         }
     }
