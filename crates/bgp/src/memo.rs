@@ -106,8 +106,10 @@ impl RouteMemo {
     /// Drains the lookup-key log accumulated since the last drain,
     /// sorted and deduplicated (the set of keys looked up, which for a
     /// single-threaded owner is exactly the keys the same lookups would
-    /// insert into a fresh memo).
-    pub fn drain_key_log(&self) -> Vec<MemoKey> {
+    /// insert into a fresh memo). The result is exact-size: callers keep
+    /// it for a long time, and the log's capacity covers every logged
+    /// lookup, not the few distinct keys.
+    pub fn drain_key_log(&self) -> Box<[MemoKey]> {
         let mut log = match self.key_log.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -115,7 +117,7 @@ impl RouteMemo {
         let mut keys = std::mem::take(&mut *log);
         keys.sort_unstable();
         keys.dedup();
-        keys
+        keys.into_boxed_slice()
     }
 
     /// All cached keys, sorted (a deterministic set: which keys get
@@ -197,6 +199,15 @@ impl RouteMemo {
         };
         guard.entry(key).or_insert_with(|| route.clone());
         route
+    }
+
+    /// Counts one lookup answered without consulting the memo: the caller
+    /// reuses the route an earlier [`RouteMemo::route_at`] call returned
+    /// for the same key, so this lookup would have been a hit. Keeps the
+    /// lookup total, which the deterministic registry exports, equal to
+    /// the one the repeated lookups would have produced.
+    pub fn replay_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Cumulative hit/miss counters.
@@ -299,13 +310,32 @@ mod tests {
             memo.route_at(&table, &inet, Ipv4(base.to_u32() + k + 1), region, 7);
         }
         let keys = memo.drain_key_log();
-        assert_eq!(keys, vec![(region, base.to_u32(), 7)]);
+        assert_eq!(*keys, [(region, base.to_u32(), 7)]);
         assert!(memo.drain_key_log().is_empty(), "drain empties the log");
         // keys() enumerates the cached set, sorted.
         let cached = memo.keys();
         assert_eq!(cached.len(), memo.len());
         assert!(cached.windows(2).all(|w| w[0] < w[1]));
         assert!(cached.contains(&(region, base.to_u32(), 7)));
+    }
+
+    #[test]
+    fn a_run_of_one_key_drains_to_exactly_one_key() {
+        let inet = Internet::generate(TopologyConfig::tiny(), 23);
+        let table = RoutingTable::build(&inet, CloudId(0));
+        let memo = RouteMemo::new();
+        memo.set_key_log(true);
+        let region = inet.primary_cloud().regions[0];
+        let ic = inet.cloud_interconnects(CloudId(0)).next().unwrap();
+        let base = inet.as_node(ic.peer).prefixes[0].base().slash24_base();
+        // One expansion run: every address of the /24 but .0, .1 and .255.
+        for host in 2..255u32 {
+            memo.route_at(&table, &inet, Ipv4(base.to_u32() + host), region, 0);
+        }
+        assert_eq!(memo.stats().hits + memo.stats().misses, 253);
+        let keys = memo.drain_key_log();
+        assert_eq!(keys.len(), 1, "253 lookups of one key drain to one key");
+        assert_eq!(*keys, [(region, base.to_u32(), 0)]);
     }
 
     #[test]

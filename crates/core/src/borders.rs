@@ -12,6 +12,7 @@
 //! [`SegmentPool`] immediately and raw traces are never retained.
 
 use crate::annotate::{Annotator, HopNote, NoteSource};
+use crate::fxhash::FxBuild;
 use cm_dataplane::Traceroute;
 use cm_net::{Ipv4, OrgId, Prefix};
 use cm_topology::RegionId;
@@ -307,16 +308,17 @@ pub struct BorderCollector<'a, 'd> {
     pool: SegmentPool,
     /// Annotation memo: campaigns revisit the same router interfaces
     /// millions of times, so each address is resolved once per collector.
-    memo: HashMap<Ipv4, HopNote>,
+    /// Keyed with the multiply-xor hasher: it is probed once per
+    /// responding hop, and only ever looked up, never iterated.
+    memo: HashMap<Ipv4, HopNote, FxBuild>,
     /// Optional shared annotation table (pre-resolved across rounds and
     /// regions); consulted on local-memo misses before the annotator.
     shared: Option<&'a crate::annotate::NoteCache>,
-    /// Reusable per-trace scratch: the annotated responding hops. Hoisted
-    /// out of [`BorderCollector::observe`] so a million-trace campaign
-    /// reuses one allocation instead of growing a fresh `Vec` per trace.
+    /// Reusable per-trace scratch: the annotated responding hops, which
+    /// every step of the §4.1 walk reads. Hoisted out of
+    /// [`BorderCollector::observe`] so a million-trace campaign reuses one
+    /// allocation instead of growing a fresh `Vec` per trace.
     scratch_hops: Vec<(u8, Ipv4, HopNote)>,
-    /// Reusable per-trace scratch for the §4.1 loop/duplicate filter.
-    scratch_seen: HashMap<Ipv4, u8>,
 }
 
 /// Reusable cross-collector state: the annotation memo plus the per-trace
@@ -327,9 +329,8 @@ pub struct BorderCollector<'a, 'd> {
 /// re-lock the shared table for) every hop of every group.
 #[derive(Default)]
 pub struct CollectorScratch {
-    memo: HashMap<Ipv4, HopNote>,
+    memo: HashMap<Ipv4, HopNote, FxBuild>,
     hops: Vec<(u8, Ipv4, HopNote)>,
-    seen: HashMap<Ipv4, u8>,
 }
 
 impl<'a, 'd> BorderCollector<'a, 'd> {
@@ -339,10 +340,9 @@ impl<'a, 'd> BorderCollector<'a, 'd> {
         BorderCollector {
             annotator,
             pool: SegmentPool::new(cloud_org),
-            memo: HashMap::new(),
+            memo: HashMap::default(),
             shared: None,
             scratch_hops: Vec::new(),
-            scratch_seen: HashMap::new(),
         }
     }
 
@@ -372,7 +372,6 @@ impl<'a, 'd> BorderCollector<'a, 'd> {
         let mut c = Self::with_cache(annotator, cloud_org, cache);
         c.memo = scratch.memo;
         c.scratch_hops = scratch.hops;
-        c.scratch_seen = scratch.seen;
         c
     }
 
@@ -382,15 +381,13 @@ impl<'a, 'd> BorderCollector<'a, 'd> {
         let scratch = CollectorScratch {
             memo: self.memo,
             hops: self.scratch_hops,
-            seen: self.scratch_seen,
         };
         let pool = BorderCollector {
             annotator: self.annotator,
             pool: self.pool,
-            memo: HashMap::new(),
+            memo: HashMap::default(),
             shared: self.shared,
             scratch_hops: Vec::new(),
-            scratch_seen: HashMap::new(),
         }
         .finish();
         (pool, scratch)
@@ -410,7 +407,18 @@ impl<'a, 'd> BorderCollector<'a, 'd> {
     }
 
     /// Folds one traceroute into the pool.
+    ///
+    /// The hop TTLs must rise strictly, as the simulator emits them and as
+    /// `cm_probe::tracefile::read_traces` enforces: the walk then reads
+    /// "TTL + 1" as "the next hop" without overflow, and two responding
+    /// hops are adjacent in the trace exactly when they are adjacent in the
+    /// annotated scratch with consecutive TTLs.
     pub fn observe(&mut self, t: &Traceroute) {
+        debug_assert!(
+            t.hops.windows(2).all(|w| w[0].ttl < w[1].ttl),
+            "hop TTLs of the trace to {} do not rise strictly",
+            t.dst
+        );
         // Annotate the responding hops once, keeping TTLs. The buffer is
         // collector-owned scratch, moved out for the duration of the walk
         // (so `note_of` can borrow `self`) and restored afterwards.
@@ -432,17 +440,14 @@ impl<'a, 'd> BorderCollector<'a, 'd> {
         let org = self.pool.cloud_org;
 
         // Successor evidence is gathered on every trace, accepted or not:
-        // the hybrid heuristic draws on all observations (§5.1).
-        for w in t.hops.windows(2) {
-            let (Some(a), Some(b)) = (w[0].addr, w[1].addr) else {
-                continue;
-            };
-            if w[1].ttl != w[0].ttl + 1 || a == b {
+        // the hybrid heuristic draws on all observations (§5.1). With
+        // strictly rising TTLs, consecutive TTLs mark adjacent trace hops.
+        for w in hops.windows(2) {
+            let ((ttl_a, a, note_a), (ttl_b, b, note_b)) = (w[0], w[1]);
+            if ttl_b != ttl_a + 1 || a == b {
                 continue;
             }
-            let note_a = self.note_of(a);
             if note_a.org == org {
-                let note_b = self.note_of(b);
                 let e = self.pool.successors.entry(a).or_default();
                 if note_b.org == org {
                     e.cloud_successor = true;
@@ -478,22 +483,24 @@ impl<'a, 'd> BorderCollector<'a, 'd> {
             self.pool.discards.gap_before_border += 1;
             return;
         }
-        // Filter: IP-level loop anywhere in the trace. The visited map is
-        // reusable scratch (cleared here, not reallocated per trace).
-        self.scratch_seen.clear();
+        // Filter: IP-level loop anywhere in the trace. Each hop is checked
+        // against the latest earlier hop with its address: right behind it
+        // is a duplicate, further back a loop. A trace holds at most
+        // `max_ttl` responding hops, so the backward scan beats hashing.
         let mut looped = false;
         let mut dup_before_border = false;
         for (i, &(ttl, a, _)) in hops.iter().enumerate() {
-            if let Some(&prev_ttl) = self.scratch_seen.get(&a) {
-                if ttl == prev_ttl + 1 {
-                    if i <= cbi_pos {
-                        dup_before_border = true;
-                    }
-                } else {
-                    looped = true;
+            let Some(&(prev_ttl, _, _)) = hops[..i].iter().rev().find(|h| h.1 == a) else {
+                continue;
+            };
+            if ttl == prev_ttl + 1 {
+                if i <= cbi_pos {
+                    dup_before_border = true;
                 }
+            } else {
+                looped = true;
+                break;
             }
-            self.scratch_seen.insert(a, ttl);
         }
         if looped {
             self.pool.discards.looped += 1;

@@ -35,12 +35,13 @@
 use crate::annotate::{Annotator, NoteCache};
 use crate::borders::{BorderCollector, CollectorScratch, SegmentPool};
 use crate::export::serve_export;
+use crate::fxhash::FxBuild;
 use crate::pipeline::{
     derive_public_data, faults_group, finish_atlas, memo_group, stage_clock, stage_wall_ms,
     table1_row, Atlas, PipelineConfig, PipelineError, ProbeAccounting, PublicData,
 };
 use cm_bgp::{MemoKey, MemoStats};
-use cm_dataplane::{DataPlane, FaultImpact, Traceroute};
+use cm_dataplane::{DataPlane, FaultImpact, TraceBatch, Traceroute};
 use cm_net::{Ipv4, OrgId};
 use cm_obs::{ObsSink, Registry};
 use cm_probe::{CampaignStats, ProbeTally};
@@ -75,10 +76,10 @@ struct GroupSpec {
 
 /// Everything a worker measures for one dirty group.
 struct RawGroup {
-    traces: Vec<Traceroute>,
+    traces: TraceBatch,
     fault: FaultImpact,
     memo_lookups: u64,
-    memo_keys: Vec<MemoKey>,
+    memo_keys: Box<[MemoKey]>,
 }
 
 /// A group's finished, splice-ready products.
@@ -88,7 +89,7 @@ struct GroupProduct {
     tally: ProbeTally,
     fault: FaultImpact,
     memo_lookups: u64,
-    memo_keys: Vec<MemoKey>,
+    memo_keys: Box<[MemoKey]>,
     /// Flap decisions of `dst24s` at this group's epoch when it was
     /// synthesized; the product is valid for any era reproducing them.
     decisions: Vec<bool>,
@@ -301,55 +302,6 @@ pub struct DeltaEngine<'i> {
     /// from millions of logged keys every era.
     memo_refs: HashMap<MemoKey, u32, FxBuild>,
     prev_view: Option<ChurnView>,
-}
-
-/// Multiply-xor hasher (FxHash construction) for the dense route-memo
-/// refcount map. The keys are internal `(region, /24, epoch)` integers —
-/// never attacker-controlled — and the map holds millions of entries, so
-/// SipHash overhead shows up directly in the era-0 warm-up wall clock.
-#[derive(Default)]
-pub(crate) struct FxHasher(u64);
-
-pub(crate) type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.add(u64::from(v));
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
 }
 
 impl<'i> DeltaEngine<'i> {
@@ -745,6 +697,7 @@ fn refresh_dirty(
             let dirty = &dirty;
             scope.spawn(move || {
                 plane.memo_set_key_log(true);
+                let mut tr = Traceroute::empty(cloud, RegionId(0));
                 loop {
                     let w = next.fetch_add(1, Ordering::Relaxed);
                     if w >= n {
@@ -753,9 +706,15 @@ fn refresh_dirty(
                     let spec = dirty[w];
                     let fault_before = plane.fault_impact();
                     let memo_before = plane.route_memo_stats();
-                    let mut traces = Vec::with_capacity(spec.targets.len()); // cm-lint: allow(P1_HEAP_ALLOC, the batch is sent over the channel to the coordinator, so the buffer cannot be reused)
+                    // One probe cursor per group: an expansion group is
+                    // exactly one (region, epoch, /24) run. The batch is
+                    // sent to the coordinator, so it cannot be reused.
+                    let (region, epoch) = (spec.key.region, spec.key.epoch);
+                    let mut prober = plane.prober(cloud, region, epoch);
+                    let mut traces = TraceBatch::with_capacity(cloud, region, spec.targets.len());
                     for &t in &spec.targets {
-                        traces.push(plane.traceroute_at(cloud, spec.key.region, t, spec.key.epoch));
+                        prober.trace_into(t, &mut tr);
+                        traces.push(&tr);
                     }
                     let memo = plane.route_memo_stats().since(memo_before);
                     let raw = RawGroup {
@@ -778,6 +737,7 @@ fn refresh_dirty(
         // threaded through all group collectors so the memo stays warm.
         let mut pending: HashMap<usize, RawGroup> = HashMap::new();
         let mut scratch = CollectorScratch::default();
+        let mut tr = Traceroute::empty(cloud, RegionId(0));
         'fold: for (w, cur) in decisions.into_iter().enumerate() {
             let raw = loop {
                 if let Some(r) = pending.remove(&w) {
@@ -806,10 +766,10 @@ fn refresh_dirty(
                 std::mem::take(&mut scratch),
             );
             let mut tally = ProbeTally::default();
-            for t in &raw.traces {
+            raw.traces.replay(&mut tr, |t| {
                 tally.absorb(t);
                 collector.observe(t);
-            }
+            });
             obs.span_end(
                 &span,
                 None,

@@ -43,6 +43,7 @@ pub mod borders;
 pub mod compare;
 pub mod delta;
 pub mod export;
+mod fxhash;
 pub mod groups;
 pub mod icg;
 pub mod pinning;

@@ -658,7 +658,7 @@ pub(crate) enum ProbeAccounting<'k> {
         /// The delta engine's persistent refcount over every cached
         /// group's looked-up memo keys: `len()` is the distinct key
         /// count across all sweep/expansion groups.
-        group_keys: &'k std::collections::HashMap<cm_bgp::MemoKey, u32, crate::delta::FxBuild>,
+        group_keys: &'k std::collections::HashMap<cm_bgp::MemoKey, u32, crate::fxhash::FxBuild>,
     },
 }
 
@@ -937,11 +937,13 @@ pub(crate) fn finish_atlas<'i>(
                 "route_memo_lookups_total",
                 memo_lookups + memo_delta.hits + memo_delta.misses,
             );
-            let mut novel = plane.memo_drain_key_log();
-            novel.retain(|k| !group_keys.contains_key(k));
-            novel.sort_unstable();
-            novel.dedup();
-            let entries = (group_keys.len() + novel.len()) as i64;
+            // The drained log is already sorted and deduplicated.
+            let novel = plane
+                .memo_drain_key_log()
+                .iter()
+                .filter(|k| !group_keys.contains_key(k))
+                .count();
+            let entries = (group_keys.len() + novel) as i64;
             obs.registry.set_gauge("route_memo_entries", entries);
             obs.registry.set_gauge(
                 "route_memo_bytes",

@@ -16,8 +16,10 @@
 //!   at configurable rates so the §4.1 traceroute filters have something to
 //!   filter.
 //!
-//! Inference code must only read [`TraceHop::addr`] and [`TraceHop::rtt_ms`];
-//! the ground-truth [`TraceHop::iface`] is carried for scoring only.
+//! A [`TraceHop`] carries only what a measurer sees: the TTL, the
+//! responding address and its RTT. Campaigns probe through a [`Prober`]
+//! cursor, which shares each `(region, /24, epoch)` path prefix across the
+//! addresses of a /24 and renders into a caller-owned [`Traceroute`].
 //!
 //! Hostile measurement conditions — bursty rate limiting, blackholed
 //! routers, MPLS-hidden segments, clock skew, source-address rewriting,
@@ -31,5 +33,7 @@ mod plane;
 pub mod reachability;
 
 pub use faults::{DataPlaneConfigError, FaultImpact, FaultPlan, RouteFlap};
-pub use plane::{DataPlane, DataPlaneConfig, TraceHop, TraceStatus, Traceroute};
+pub use plane::{
+    DataPlane, DataPlaneConfig, Prober, TraceBatch, TraceHop, TraceStatus, Traceroute,
+};
 pub use reachability::publicly_reachable;

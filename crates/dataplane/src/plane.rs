@@ -70,9 +70,6 @@ pub struct TraceHop {
     pub addr: Option<Ipv4>,
     /// Round-trip time of the response, when present.
     pub rtt_ms: Option<f64>,
-    /// Ground truth: the interface the packet actually arrived on.
-    /// **Scoring only** — inference code must never read this.
-    pub iface: Option<IfaceId>,
 }
 
 /// How a traceroute terminated.
@@ -87,7 +84,7 @@ pub enum TraceStatus {
 }
 
 /// A full traceroute observation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Traceroute {
     /// Probing cloud.
     pub cloud: CloudId,
@@ -102,9 +99,80 @@ pub struct Traceroute {
 }
 
 impl Traceroute {
+    /// A hop-less trace from `(cloud, src_region)`: the buffer a
+    /// [`Prober`] renders into, reused probe after probe.
+    pub fn empty(cloud: CloudId, src_region: RegionId) -> Traceroute {
+        Traceroute {
+            cloud,
+            src_region,
+            dst: Ipv4(0),
+            hops: Vec::new(),
+            status: TraceStatus::GapLimit,
+        }
+    }
+
     /// The responding hop addresses in order (gaps skipped).
     pub fn responding_addrs(&self) -> impl Iterator<Item = Ipv4> + '_ {
         self.hops.iter().filter_map(|h| h.addr)
+    }
+}
+
+/// Traceroutes from one `(cloud, region)`, stored flat: one hop buffer for
+/// the whole batch and one `(dst, status, end of its hops)` record per
+/// trace. A probing worker fills one per work item and sends it to the
+/// folding thread, which reads the traces back into one reused
+/// [`Traceroute`]: two allocations per batch instead of a hop `Vec` per
+/// trace, each freed on another thread than the one that made it.
+pub struct TraceBatch {
+    cloud: CloudId,
+    src_region: RegionId,
+    traces: Vec<(Ipv4, TraceStatus, usize)>,
+    hops: Vec<TraceHop>,
+}
+
+impl TraceBatch {
+    /// An empty batch with room for `traces` traceroutes.
+    pub fn with_capacity(cloud: CloudId, src_region: RegionId, traces: usize) -> TraceBatch {
+        TraceBatch {
+            cloud,
+            src_region,
+            traces: Vec::with_capacity(traces),
+            hops: Vec::new(),
+        }
+    }
+
+    /// Appends a copy of `t`, which must come from the batch's
+    /// `(cloud, region)`.
+    pub fn push(&mut self, t: &Traceroute) {
+        debug_assert!(t.cloud == self.cloud && t.src_region == self.src_region);
+        self.hops.extend_from_slice(&t.hops);
+        self.traces.push((t.dst, t.status, self.hops.len()));
+    }
+
+    /// Number of traceroutes in the batch.
+    pub fn len(&self) -> usize {
+        self.traces.len()
+    }
+
+    /// True when the batch holds no traceroute.
+    pub fn is_empty(&self) -> bool {
+        self.traces.is_empty()
+    }
+
+    /// Reads the traceroutes back in push order, each into `out` (its hop
+    /// buffer is reused), and hands each to `f`.
+    pub fn replay(&self, out: &mut Traceroute, mut f: impl FnMut(&Traceroute)) {
+        out.cloud = self.cloud;
+        out.src_region = self.src_region;
+        let mut start = 0;
+        for &(dst, status, end) in &self.traces {
+            out.dst = dst;
+            out.status = status;
+            out.hops.clear();
+            out.hops.extend_from_slice(&self.hops[start..end]);
+            start = end;
+            f(out);
+        }
     }
 }
 
@@ -366,7 +434,7 @@ impl<'a> DataPlane<'a> {
     }
 
     /// Drains the route memo's lookup-key log (sorted, deduplicated).
-    pub fn memo_drain_key_log(&self) -> Vec<cm_bgp::MemoKey> {
+    pub fn memo_drain_key_log(&self) -> Box<[cm_bgp::MemoKey]> {
         self.route_memo.drain_key_log()
     }
 
@@ -404,6 +472,10 @@ impl<'a> DataPlane<'a> {
     /// (session flaps, drained links, TE shifts) makes later epochs traverse
     /// different interconnects and ECMP members of the same destinations —
     /// the diversity a multi-day campaign accumulates.
+    ///
+    /// A one-shot [`Prober`]: campaigns that probe many targets from one
+    /// region and epoch should hold a cursor from [`DataPlane::prober`]
+    /// instead, and render into a reused [`Traceroute`].
     pub fn traceroute_at(
         &self,
         cloud: CloudId,
@@ -411,8 +483,28 @@ impl<'a> DataPlane<'a> {
         dst: Ipv4,
         epoch: u32,
     ) -> Traceroute {
-        let steps = self.forward_path(cloud, src_region, dst, epoch);
-        self.render(cloud, src_region, dst, epoch, steps)
+        let mut out = Traceroute::empty(cloud, src_region);
+        self.prober(cloud, src_region, epoch)
+            .trace_into(dst, &mut out);
+        out
+    }
+
+    /// A probe cursor for traceroutes from `(cloud, src_region)` during
+    /// campaign `epoch`; see [`Prober`].
+    pub fn prober(&self, cloud: CloudId, src_region: RegionId, epoch: u32) -> Prober<'_, 'a> {
+        Prober {
+            plane: self,
+            cloud,
+            region: src_region,
+            epoch,
+            shares: self
+                .tables
+                .get(&cloud)
+                .is_some_and(RoutingTable::memo_exact),
+            run: None,
+            path: Vec::new(),
+            steps: Vec::new(),
+        }
     }
 
     /// Minimum RTT to `target` over `attempts` probes from a region, or
@@ -425,7 +517,9 @@ impl<'a> DataPlane<'a> {
         target: Ipv4,
         attempts: u32,
     ) -> Option<f64> {
-        let steps = self.forward_path(cloud, src_region, target, 0);
+        let mut steps = Vec::new();
+        let dst_iface = self.inet.iface_by_addr.get(&target).copied();
+        self.forward_path(cloud, src_region, target, dst_iface, 0, &mut steps);
         let last = steps.last()?;
         if !last.is_destination {
             return None;
@@ -465,28 +559,35 @@ impl<'a> DataPlane<'a> {
 
     // ----- path construction ----------------------------------------------
 
-    /// Builds the router-level forward path from the region's VM to `dst`.
+    /// Builds the router-level forward path from the region's VM to `dst`
+    /// into `steps` (cleared by the caller). `dst_iface` is the interface
+    /// that owns `dst`, if any (`iface_by_addr`).
+    ///
+    /// Returns the origin AS when the path ends at the synthetic-host
+    /// decision ([`DataPlane::host_tail`]) — the one step of a path to an
+    /// interface-less destination that reads more than its /24 — and `None`
+    /// when it ends anywhere else.
     fn forward_path(
         &self,
         cloud: CloudId,
         src_region: RegionId,
         dst: Ipv4,
+        dst_iface: Option<IfaceId>,
         epoch: u32,
-    ) -> Vec<PathStep> {
+        steps: &mut Vec<PathStep>,
+    ) -> Option<AsIndex> {
         let inet = self.inet;
         let region = inet.region(src_region);
         debug_assert_eq!(region.cloud, cloud);
-        let mut steps = Vec::new();
+        debug_assert_eq!(dst_iface, inet.iface_by_addr.get(&dst).copied());
         let mut km = 0.0;
-
-        // Destination owned by an interface somewhere?
-        let dst_iface = inet.iface_by_addr.get(&dst).copied();
 
         // 1. Internal destinations (own cloud space, own infrastructure).
         if let Some(fid) = dst_iface {
             let owner = inet.router(inet.iface(fid).router).owner;
             if inet.clouds[cloud.index()].ases.contains(&owner) {
-                return self.internal_path(src_region, fid, dst);
+                self.internal_path(src_region, fid, dst, steps);
+                return None;
             }
         }
 
@@ -513,10 +614,8 @@ impl<'a> DataPlane<'a> {
         });
 
         // 3. Egress selection.
-        let route = match self.select_route(cloud, src_region, dst, dst_iface, epoch) {
-            Some(r) => r,
-            None => return steps, // unrouted: probe dies after the core
-        };
+        // Unrouted: the probe dies after the core.
+        let route = self.select_route(cloud, src_region, dst, dst_iface, epoch)?;
         let ic = inet.interconnect(route.ic);
 
         // Cross-region transit via core 0 of both regions.
@@ -603,7 +702,7 @@ impl<'a> DataPlane<'a> {
             dest_addr: client_is_dest.then_some(dst),
         });
         if client_is_dest {
-            return steps;
+            return None;
         }
 
         // 6. Descend the AS path.
@@ -624,7 +723,7 @@ impl<'a> DataPlane<'a> {
                 dest_addr: internal_is_dest.then_some(dst),
             });
             if internal_is_dest {
-                return steps;
+                return None;
             }
         }
         for w in route.as_path.windows(2) {
@@ -647,7 +746,7 @@ impl<'a> DataPlane<'a> {
                 dest_addr: is_dest.then_some(dst),
             });
             if is_dest {
-                return steps;
+                return None;
             }
         }
 
@@ -666,22 +765,35 @@ impl<'a> DataPlane<'a> {
                 is_destination: true,
                 dest_addr: Some(dst),
             });
-            return steps;
+            return None;
         }
-        if self.synthetic_host_answers(origin, dst) {
-            km += 5.0;
-            // The "router" of a synthetic host is the origin's internal
-            // router for bookkeeping; the response comes from `dst` itself.
-            let host_router = steps.last().map(|s| s.router).unwrap_or(chosen_core);
-            steps.push(PathStep {
-                router: host_router,
-                in_iface: None,
-                km,
-                is_destination: true,
-                dest_addr: Some(dst),
-            });
+        self.host_tail(origin, dst, steps);
+        Some(origin)
+    }
+
+    /// The last step of a path to an interface-less destination: a
+    /// synthetic end host in `origin`'s announced space, appended when it
+    /// answers at `dst`. The only part of such a path that reads the
+    /// address rather than its /24, so [`Prober`] re-evaluates it per
+    /// target on top of a shared prefix.
+    fn host_tail(&self, origin: AsIndex, dst: Ipv4, steps: &mut Vec<PathStep>) {
+        if !self.synthetic_host_answers(origin, dst) {
+            return;
         }
-        steps
+        // The "router" of a synthetic host is the origin's internal router
+        // for bookkeeping; the response comes from `dst` itself. The path
+        // reaching here holds at least the core step.
+        let Some(last) = steps.last() else {
+            return;
+        };
+        let (router, km) = (last.router, last.km + 5.0);
+        steps.push(PathStep {
+            router,
+            in_iface: None,
+            km,
+            is_destination: true,
+            dest_addr: Some(dst),
+        });
     }
 
     /// Routes `dst`, with the direct-interface special cases evaluated
@@ -867,16 +979,23 @@ impl<'a> DataPlane<'a> {
         self.cfg.jitter_ms * u * u
     }
 
+    /// Renders `steps` — responses, faults and artifacts — into `out`,
+    /// replacing its previous contents but keeping its hop buffer.
     fn render(
         &self,
         cloud: CloudId,
         src_region: RegionId,
         dst: Ipv4,
         epoch: u32,
-        steps: Vec<PathStep>,
-    ) -> Traceroute {
+        steps: &[PathStep],
+        out: &mut Traceroute,
+    ) {
         let inet = self.inet;
-        let mut hops: Vec<TraceHop> = Vec::with_capacity(steps.len() + 4);
+        out.cloud = cloud;
+        out.src_region = src_region;
+        out.dst = dst;
+        let hops = &mut out.hops;
+        hops.clear();
         let mut ttl = 0u8;
         let mut gap = 0u8;
         // Every loss/dup/loop/jitter draw keys on this. Folding the epoch in
@@ -894,7 +1013,6 @@ impl<'a> DataPlane<'a> {
                 ttl: *ttl,
                 addr: None,
                 rtt_ms: None,
-                iface: None,
             });
             *gap += 1;
         };
@@ -922,8 +1040,8 @@ impl<'a> DataPlane<'a> {
                 continue;
             }
             let router = inet.router(step.router);
-            // Decide the responding address.
-            let (mut addr, mut iface) = if step.is_destination {
+            // Decide the responding address and the interface it sits on.
+            let (mut addr, iface) = if step.is_destination {
                 // Destinations answer with the probed address.
                 (step.dest_addr, step.in_iface)
             } else {
@@ -944,7 +1062,6 @@ impl<'a> DataPlane<'a> {
                     if Some(canon) != iface {
                         tally.addr_rewrite = true;
                         addr = inet.iface(canon).addr;
-                        iface = Some(canon);
                     }
                 }
             }
@@ -986,7 +1103,6 @@ impl<'a> DataPlane<'a> {
                         ttl,
                         addr: Some(a),
                         rtt_ms: Some(rtt),
-                        iface,
                     });
                     if step.is_destination {
                         completed = true;
@@ -1008,11 +1124,10 @@ impl<'a> DataPlane<'a> {
                                     + self.jitter(&[probe_key, ttl as u64, 7])
                                     + skew_ms,
                             ),
-                            iface,
                         });
                     }
                 }
-                None => push_silent(&mut hops, &mut ttl, &mut gap),
+                None => push_silent(hops, &mut ttl, &mut gap),
             }
         }
 
@@ -1022,13 +1137,8 @@ impl<'a> DataPlane<'a> {
             && hops.iter().filter(|h| h.addr.is_some()).count() >= 2
             && stablehash::chance(self.seed, &[0x100B, probe_key], self.cfg.loop_rate)
         {
-            let responding: Vec<TraceHop> = hops
-                .iter()
-                .rev()
-                .filter(|h| h.addr.is_some())
-                .take(2)
-                .copied()
-                .collect();
+            let mut responding = hops.iter().rev().filter(|h| h.addr.is_some()).copied();
+            let responding = [responding.next(), responding.next()];
             // Truncate trailing silence, then bounce.
             while hops.last().map(|h| h.addr.is_none()).unwrap_or(false) {
                 hops.pop();
@@ -1040,30 +1150,24 @@ impl<'a> DataPlane<'a> {
                 let src = responding[flip % 2];
                 hops.push(TraceHop {
                     ttl,
-                    addr: src.addr,
-                    rtt_ms: src.rtt_ms,
-                    iface: src.iface,
+                    addr: src.and_then(|h| h.addr),
+                    rtt_ms: src.and_then(|h| h.rtt_ms),
                 });
                 flip += 1;
             }
             self.counters.record(tally);
-            return Traceroute {
-                cloud,
-                src_region,
-                dst,
-                hops,
-                status: TraceStatus::MaxTtl,
-            };
+            out.status = TraceStatus::MaxTtl;
+            return;
         }
 
         // Unfinished probes keep probing into silence up to the gap limit.
         if !completed {
             while gap < self.cfg.gap_limit && ttl < self.cfg.max_ttl {
-                push_silent(&mut hops, &mut ttl, &mut gap);
+                push_silent(hops, &mut ttl, &mut gap);
             }
         }
 
-        let status = if completed {
+        out.status = if completed {
             TraceStatus::Completed
         } else if ttl >= self.cfg.max_ttl {
             TraceStatus::MaxTtl
@@ -1071,22 +1175,20 @@ impl<'a> DataPlane<'a> {
             TraceStatus::GapLimit
         };
         self.counters.record(tally);
-        Traceroute {
-            cloud,
-            src_region,
-            dst,
-            hops,
-            status,
-        }
     }
 
     /// Internal path for destinations inside the probing cloud: the probe
     /// ends at the owning router without ever crossing a border.
-    fn internal_path(&self, src_region: RegionId, fid: IfaceId, dst: Ipv4) -> Vec<PathStep> {
+    fn internal_path(
+        &self,
+        src_region: RegionId,
+        fid: IfaceId,
+        dst: Ipv4,
+        steps: &mut Vec<PathStep>,
+    ) {
         let inet = self.inet;
         let region = inet.region(src_region);
         let target_router = inet.iface(fid).router;
-        let mut steps = Vec::new();
         let core = region.core_routers[0];
         let mut km = 0.2;
         if target_router != core {
@@ -1108,7 +1210,6 @@ impl<'a> DataPlane<'a> {
             is_destination: true,
             dest_addr: Some(dst),
         });
-        steps
     }
 
     /// Every /24 the sweep campaign should target: all ground-truth
@@ -1125,5 +1226,103 @@ impl<'a> DataPlane<'a> {
             }
         }
         out
+    }
+}
+
+/// A caller-owned probe cursor: traceroutes from one `(cloud, region)` at
+/// one campaign epoch, rendered into a [`Traceroute`] the caller reuses.
+///
+/// Probes into one destination /24 share their router path up to its last
+/// step. When the destination owns no interface (`iface_by_addr` misses)
+/// and the cloud's table is [`RoutingTable::memo_exact`], every step of
+/// `DataPlane::forward_path` but the synthetic-host tail is a function of
+/// `(cloud, region, /24, epoch)`: the core pick and the ingress draw key on
+/// the /24, the route comes from the /24-exact memo, the flap decision keys
+/// on `(/24, epoch)`, and no step is the destination. The cursor keeps the
+/// prefix of the last such probe and, for the next address of the same
+/// /24, re-evaluates only the tail (`DataPlane::host_tail`) — the
+/// simulator's counterpart of Doubletree's redundancy removal. Every other
+/// destination (interconnect /31s, IXP LAN members, own-cloud space) takes
+/// the full path and leaves the kept prefix alone. Rendering stays per
+/// probe: every loss, dup, loop and jitter draw keys on the address.
+///
+/// Sharing only saves work: in any target order, a cursor produces the
+/// traces, counters and memo state that fresh [`DataPlane::traceroute_at`]
+/// calls would. A shared probe still does the accounting of the lookup it
+/// skips — one route-memo hit, plus one `route_flap` bump when the run's
+/// flap decision diverted it. The memo's key log sees a run's key once, at
+/// the run's first probe; a drain deduplicates anyway, so drain the log
+/// between cursors, not in the middle of one.
+pub struct Prober<'p, 'a> {
+    plane: &'p DataPlane<'a>,
+    cloud: CloudId,
+    region: RegionId,
+    epoch: u32,
+    /// Whether the cloud's routes are constant per destination /24.
+    shares: bool,
+    /// The run whose prefix `path` holds.
+    run: Option<SharedRun>,
+    /// The last shared probe's path: the run's prefix, then its tail.
+    path: Vec<PathStep>,
+    /// The path of a probe that shares nothing, kept apart from `path` so
+    /// that such a probe does not end the run around it.
+    steps: Vec<PathStep>,
+}
+
+/// What a [`Prober`] knows about its current `(region, /24, epoch)` run.
+#[derive(Clone, Copy)]
+struct SharedRun {
+    /// The run's destination /24 base.
+    dst24: u32,
+    /// Steps of the prefix, before the synthetic-host tail.
+    len: usize,
+    /// Origin AS of the tail; `None` when the /24 is unrouted and the
+    /// path ends at the core.
+    origin: Option<AsIndex>,
+    /// The run's route-flap decision diverted its route lookup.
+    flapped: bool,
+}
+
+impl Prober<'_, '_> {
+    /// Probes `dst`, replacing the contents of `out` (its hop buffer is
+    /// reused).
+    pub fn trace_into(&mut self, dst: Ipv4, out: &mut Traceroute) {
+        let plane = self.plane;
+        let (cloud, region, epoch) = (self.cloud, self.region, self.epoch);
+        let dst_iface = plane.inet.iface_by_addr.get(&dst).copied();
+        if !self.shares || dst_iface.is_some() {
+            self.steps.clear();
+            plane.forward_path(cloud, region, dst, dst_iface, epoch, &mut self.steps);
+            plane.render(cloud, region, dst, epoch, &self.steps, out);
+            return;
+        }
+        let dst24 = dst.slash24_base().to_u32();
+        match self.run {
+            Some(run) if run.dst24 == dst24 => {
+                // The lookup `select_route` would make: a memo hit (the
+                // run's first probe cached the key), plus its flap bump.
+                plane.route_memo.replay_hit();
+                if run.flapped {
+                    plane.counters.bump_route_flap();
+                }
+                self.path.truncate(run.len);
+                if let Some(origin) = run.origin {
+                    plane.host_tail(origin, dst, &mut self.path);
+                }
+            }
+            _ => {
+                self.path.clear();
+                let origin = plane.forward_path(cloud, region, dst, None, epoch, &mut self.path);
+                // Only the synthetic host is a destination step here.
+                let tail = self.path.last().is_some_and(|s| s.is_destination);
+                self.run = Some(SharedRun {
+                    dst24,
+                    len: self.path.len() - usize::from(tail),
+                    origin,
+                    flapped: plane.flap_decision(dst24, epoch),
+                });
+            }
+        }
+        plane.render(cloud, region, dst, epoch, &self.path, out);
     }
 }

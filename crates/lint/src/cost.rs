@@ -16,7 +16,8 @@
 //! 2. **propagate** reachability along the over-approximated call graph
 //!    from the declared hot roots ([`HOT_ROOTS`]): the campaign loops in
 //!    `Pipeline::run`, the §4.1 border walk, the `DataPlane` per-probe
-//!    emission path and the RIB/route-memo lookup;
+//!    emission path (the one-shot `traceroute_at` and the campaigns'
+//!    `Prober` cursor) and the RIB/route-memo lookup;
 //! 3. **error** when a hot root can reach a seeded loop, unless the site
 //!    carries a `// cm-lint: allow(<RULE>, <reason>)` annotation
 //!    ([`crate::engine`]) on its own or the preceding line.
@@ -36,6 +37,7 @@ pub const HOT_ROOTS: &[&str] = &[
     "Campaign::run_sharded_obs",
     "BorderCollector::observe",
     "DataPlane::traceroute_at",
+    "Prober::trace_into",
     "DataPlane::ping_min_rtt",
     "RoutingTable::route_at",
     "RouteMemo::route_at",

@@ -21,7 +21,7 @@
 //! the determinism the audit digest depends on.
 
 use crate::{Campaign, CampaignStats, ProbeTally};
-use cm_dataplane::Traceroute;
+use cm_dataplane::{TraceBatch, Traceroute};
 use cm_net::Ipv4;
 use cm_topology::RegionId;
 use std::collections::HashMap;
@@ -119,14 +119,18 @@ where
 
     if workers <= 1 || n_work <= 1 {
         // Serial reference path — also the shape every sharded run must
-        // reproduce byte for byte.
+        // reproduce byte for byte. One probe cursor per (region, epoch),
+        // rendering every trace of the round into one reused buffer (each
+        // render overwrites the buffer's region too).
+        let mut tr = Traceroute::empty(cloud, RegionId(0));
         for (idx, &region) in regions.iter().enumerate() {
             span_open(idx);
             let mut probes = 0u64;
             let mut state = init();
             for epoch in 0..epochs {
+                let mut prober = plane.prober(cloud, region, epoch);
                 for &t in targets {
-                    let tr = plane.traceroute_at(cloud, region, t, epoch);
+                    prober.trace_into(t, &mut tr);
                     tally.absorb(&tr);
                     fold(&mut state, &tr);
                     probes += 1;
@@ -143,23 +147,32 @@ where
             // up in memory. The channel lives inside the scope so that a
             // panicking fold drops the receiver before the scope joins the
             // workers, turning their blocked sends into errors, not a hang.
-            let (tx, rx) = mpsc::sync_channel::<(usize, Vec<Traceroute>)>(2 * workers);
+            let (tx, rx) = mpsc::sync_channel::<(usize, TraceBatch)>(2 * workers);
             for _ in 0..workers.min(n_work) {
                 let tx = tx.clone(); // cm-lint: allow(P2_CLONE, one sender clone per worker thread at spawn)
                 let next = &next;
-                scope.spawn(move || loop {
-                    let w = next.fetch_add(1, Ordering::Relaxed);
-                    if w >= n_work {
-                        break;
-                    }
-                    let it = item(w, regions, targets, epochs, chunks_per_pass);
-                    let mut batch = Vec::with_capacity(it.targets.len()); // cm-lint: allow(P1_HEAP_ALLOC, the batch is sent over the channel to the coordinator, so the buffer cannot be reused)
-                    for &t in it.targets {
-                        batch.push(plane.traceroute_at(cloud, it.region, t, it.epoch));
-                    }
-                    // A send error means the coordinator bailed; just stop.
-                    if tx.send((w, batch)).is_err() {
-                        break;
+                scope.spawn(move || {
+                    let mut tr = Traceroute::empty(cloud, RegionId(0));
+                    loop {
+                        let w = next.fetch_add(1, Ordering::Relaxed);
+                        if w >= n_work {
+                            break;
+                        }
+                        let it = item(w, regions, targets, epochs, chunks_per_pass);
+                        // One cursor and one flat batch per work item; the
+                        // batch is sent to the coordinator, so it cannot
+                        // be reused.
+                        let mut prober = plane.prober(cloud, it.region, it.epoch);
+                        let mut batch =
+                            TraceBatch::with_capacity(cloud, it.region, it.targets.len());
+                        for &t in it.targets {
+                            prober.trace_into(t, &mut tr);
+                            batch.push(&tr);
+                        }
+                        // A send error means the coordinator bailed; just stop.
+                        if tx.send((w, batch)).is_err() {
+                            break;
+                        }
                     }
                 });
             }
@@ -171,8 +184,8 @@ where
             // In-order merge: fold chunk `w` only after chunks `0..w`.
             // Chunks arriving early wait in `pending`; with homogeneous
             // chunk costs the buffer stays around the worker count.
-            let mut pending: HashMap<usize, Vec<Traceroute>> = HashMap::new();
-            let mut recv_chunk = |w: usize| -> Option<Vec<Traceroute>> {
+            let mut pending: HashMap<usize, TraceBatch> = HashMap::new();
+            let mut recv_chunk = |w: usize| -> Option<TraceBatch> {
                 loop {
                     if let Some(batch) = pending.remove(&w) {
                         return Some(batch);
@@ -187,6 +200,7 @@ where
                 }
             };
             let mut w = 0usize;
+            let mut tr = Traceroute::empty(cloud, RegionId(0));
             'merge: for (idx, _) in regions.iter().enumerate() {
                 span_open(idx);
                 let mut probes = 0u64;
@@ -195,11 +209,11 @@ where
                     let Some(batch) = recv_chunk(w) else {
                         break 'merge;
                     };
-                    for tr in &batch {
+                    batch.replay(&mut tr, |tr| {
                         tally.absorb(tr);
                         fold(&mut state, tr);
-                        probes += 1;
-                    }
+                    });
+                    probes += batch.len() as u64;
                     w += 1;
                 }
                 span_close(idx, probes);

@@ -79,9 +79,9 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 
 /// Parses a tracefile back into traceroutes.
 ///
-/// Hops parsed from external data carry no ground-truth interface
-/// (`iface: None`) — the same view a real measurement provides. A hop
-/// whose TTL does not exceed the previous hop's is rejected: the §4.1
+/// A [`TraceHop`] holds only the observables a tracefile records (TTL,
+/// address, RTT), so a parsed trace is the same view a real measurement
+/// provides. A hop whose TTL does not exceed the previous hop's is rejected: the §4.1
 /// walk reads `ttl + 1` as "the next hop", which strictly rising TTLs keep
 /// in range (a TTL of 255 can only be a trace's last hop).
 pub fn read_traces(input: &str) -> Result<Vec<Traceroute>, ParseError> {
@@ -153,12 +153,7 @@ pub fn read_traces(input: &str) -> Result<Vec<Traceroute>, ParseError> {
                     ),
                     None => return Err(err(lineno, "missing rtt")),
                 };
-                t.hops.push(TraceHop {
-                    ttl,
-                    addr,
-                    rtt_ms,
-                    iface: None,
-                });
+                t.hops.push(TraceHop { ttl, addr, rtt_ms });
             }
             Some(tag) => return Err(err(lineno, format!("unknown record {tag:?}"))),
             None => {}
@@ -206,8 +201,6 @@ mod tests {
                     (None, None) => {}
                     other => panic!("rtt mismatch {other:?}"),
                 }
-                // Ground truth never crosses the serialization boundary.
-                assert_eq!(y.iface, None);
             }
         }
     }
